@@ -36,7 +36,10 @@ MULTISTART_RADII = (0.5, 1.0, 2.0)
 
 
 class BetheError(RuntimeError):
-    pass
+    """A root system failed to solve; `chain` holds the gap-branch root sets
+    that converged before the failure when raised by `solve_gap_chain`."""
+
+    chain = None
 
 
 class SingularRootError(BetheError):
@@ -619,21 +622,28 @@ def continue_in_L(roots, target_length, earlier=None, tol=SOLVER_TOL):
 
 
 def solve_gap_chain(max_length, seed=0, tol=SOLVER_TOL):
-    """Gap-branch root sets for every L in 6, 9, ..., max_length."""
+    """Gap-branch root sets for every L in 6, 9, ..., max_length.
+
+    A failing step raises its `BetheError` with the converged prefix
+    attached as `exc.chain`.
+    """
     if max_length < 6 or max_length % 3:
         raise ValueError("max_length must be a multiple of 3, at least 6")
     chain = {}
-    roots = solve_bethe(6, 2, 0, branch_integers=gap_branch_integers(2),
-                        seed=seed, tol=tol)
-    chain[6] = roots
-    earlier = None
-    length = 6
-    while length < max_length:
-        nxt = continue_in_L(chain[length], length + 3, earlier=earlier,
-                            tol=tol)
-        earlier = chain[length]
-        length += 3
-        chain[length] = nxt
+    try:
+        chain[6] = solve_bethe(6, 2, 0, branch_integers=gap_branch_integers(2),
+                               seed=seed, tol=tol)
+        earlier = None
+        length = 6
+        while length < max_length:
+            nxt = continue_in_L(chain[length], length + 3, earlier=earlier,
+                                tol=tol)
+            earlier = chain[length]
+            length += 3
+            chain[length] = nxt
+    except BetheError as exc:
+        exc.chain = chain
+        raise
     return chain
 
 

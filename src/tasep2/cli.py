@@ -56,9 +56,6 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--output-dir", default=None)
     sub.add_argument("--force", action="store_true")
-    sub.add_argument("--format", choices=("json", "csv"), default="json",
-                     help="summary format for diag; other commands emit "
-                          "their fixed JSON+CSV sets")
 
 
 def _outdir(args):
@@ -151,16 +148,13 @@ def cmd_scale(args):
     except bethe.BetheError as exc:
         # retain whatever prefix of the chain converged, then fail loudly
         sys.stderr.write(f"scaling study aborted: {exc}\n")
-        partial = []
-        for l in range(args.frm, args.to + 4, 3):
-            try:
-                rs = bethe.solve_gap_state(l, seed=args.seed)
-            except bethe.BetheError:
-                break
-            partial.append((l, bethe.energy_from_roots(rs).real))
+        chain = exc.chain or {}
         with _open_out(out / "gap_series.csv", args.force) as f:
             f.write("L,gap_re\n")
-            for l, g in partial:
+            for l in range(args.frm, args.to + 4, 3):
+                if l not in chain:
+                    break
+                g = bethe.energy_from_roots(chain[l]).real
                 f.write(f"{l},{g:.17g}\n")
         return EXIT_NUMERICAL
     with _open_out(out / "gap_series.csv", args.force) as f:
@@ -238,11 +232,12 @@ def build_parser():
     p.add_argument("--na", type=int, required=True)
     p.add_argument("--nb", type=int, required=True)
     p.add_argument("--momentum", type=int, default=None)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--dense", action="store_true", default=True)
-    group.add_argument("--krylov", action="store_true")
+    p.add_argument("--krylov", action="store_true",
+                   help="shift-inverted Arnoldi instead of a dense solve")
     p.add_argument("--spectrum", action="store_true",
                    help="also write the full eigenvalue list")
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="summary file format")
     _add_common(p)
     p.set_defaults(func=cmd_diag)
 

@@ -12,6 +12,12 @@ The master equation dp/dt = -H p fixes the matrix convention used throughout:
 H[c', c] = -rate(c -> c') off the diagonal, H[c, c] = total escape rate, so
 every column sums to zero and the totally asymmetric diagonal counts the
 allowed moves out of a configuration.
+
+Configurations of the L-site ring are packed base-3 integers with site 0 in
+the most significant trit, so ascending packed order is lexicographic in the
+site list.  Translation moves the content of site j to site j+1.  Sector
+codes, move assembly and translation orbits are vectorized over the sorted
+code array; targets are located by binary search in it.
 """
 
 from dataclasses import dataclass, field
@@ -19,8 +25,6 @@ from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
-
-from . import _kernels
 
 SPECIES_A = 0
 SPECIES_B = 1
@@ -156,11 +160,7 @@ class SectorGenerator:
 def _sorted_coo(rows, cols, vals, dimension):
     """Deterministic (row, col)-sorted duplicate-free COO."""
     if len(rows) == 0:
-        return (np.zeros(0, np.int64), np.zeros(0, np.int64),
-                np.zeros(0, vals.dtype if hasattr(vals, "dtype") else np.float64))
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals)
+        return rows, cols, vals
     key = rows * dimension + cols
     order = np.argsort(key, kind="stable")
     key, rows, cols, vals = key[order], rows[order], cols[order], vals[order]
@@ -172,8 +172,25 @@ def _sorted_coo(rows, cols, vals, dimension):
 
 
 def sector_packs(sector):
-    """Packed codes of the sector in ascending order."""
-    return _kernels.enumerate_packed(sector.length, sector.n_a, sector.n_b)
+    """Packed codes of the sector in ascending order.
+
+    Built site by site from the right: the sorted codes of the last m sites
+    holding a A's and b B's are three sorted blocks, led by an A, a B and a
+    vacancy, so no code outside the sector is ever formed.
+    """
+    n_a, n_b, n_v = sector.n_a, sector.n_b, sector.n_vac
+    codes = {(0, 0): np.zeros(1, dtype=np.int64)}
+    for m in range(1, sector.length + 1):
+        top = 3 ** (m - 1)
+        nxt = {}
+        for a in range(max(0, m - n_b - n_v), min(n_a, m) + 1):
+            for b in range(max(0, m - a - n_v), min(n_b, m - a) + 1):
+                children = ((a - 1, b), (a, b - 1), (a, b))
+                nxt[(a, b)] = np.concatenate(
+                    [digit * top + codes[key]
+                     for digit, key in enumerate(children) if key in codes])
+        codes = nxt
+    return codes[(n_a, n_b)]
 
 
 def enumerate_sector(sector):
@@ -184,15 +201,47 @@ def enumerate_sector(sector):
     ]
 
 
+def assemble_moves(length, packs, gamma_r, gamma_l):
+    """COO data of the master-equation generator on the given configurations.
+
+    Column convention: for every nearest-neighbour exchange c -> c' at rate
+    rho, entry (row=c', col=c) gets -rho and the diagonal (c, c) gets +rho.
+    Returns (rows, cols, vals) including diagonal entries, unsorted.
+    """
+    weight = 3 ** np.arange(length - 1, -1, -1, dtype=np.int64)  # of site j
+    digits = np.empty((len(packs), length), dtype=np.int8)
+    for j in range(length):
+        digits[:, j] = packs // weight[j] % 3
+    escape = np.zeros(len(packs))
+    rows, cols, vals = [], [], []
+    for j in range(length):
+        right = (j + 1) % length
+        g, d = digits[:, j], digits[:, right]
+        for rate, moves in ((gamma_r, g < d), (gamma_l, g > d)):
+            if rate == 0.0:
+                continue
+            src = np.flatnonzero(moves)
+            step = (d[moves] - g[moves]) * (weight[j] - weight[right])
+            rows.append(np.searchsorted(packs, packs[src] + step))
+            cols.append(src)
+            vals.append(np.full(len(src), -rate))
+            escape += rate * moves
+    moving = np.flatnonzero(escape)
+    rows.append(moving)
+    cols.append(moving)
+    vals.append(escape[moving])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
 def _assemble(length, packs, gamma_r, gamma_l, sector):
-    rows, cols, vals = _kernels.assemble_moves(
-        length, np.asarray(packs, dtype=np.int64), float(gamma_r), float(gamma_l)
-    )
+    packs = np.asarray(packs, dtype=np.int64)
+    rows, cols, vals = assemble_moves(length, packs, float(gamma_r),
+                                      float(gamma_l))
     n = len(packs)
     rows, cols, vals = _sorted_coo(rows, cols, vals, n)
     return SectorGenerator(
         sector=sector, dimension=n, rows=rows, cols=cols, vals=vals,
-        packs=np.asarray(packs, dtype=np.int64),
+        packs=packs,
     )
 
 
@@ -230,15 +279,37 @@ def build_hamiltonian_tasep(length, sector=None):
     return _assemble(length, sector_packs(sector), 1.0, 0.0, sector)
 
 
+def translate_packed(x, length):
+    """Shift content of every site one step to the right (site j -> j+1);
+    `x` is one code or an array of codes."""
+    return x // 3 + (x % 3) * 3 ** (length - 1)
+
+
+def orbit_table(length, packs):
+    """Translation orbits over a sorted configuration table.
+
+    Returns (rep, shift, period) per configuration index: rep is the index of
+    the orbit representative (minimal packed code), shift the number of
+    translations taking the configuration onto the representative, period the
+    orbit length.
+    """
+    best = packs.copy()
+    shift = np.zeros(len(packs), dtype=np.int64)
+    period = np.zeros(len(packs), dtype=np.int64)
+    moved = packs
+    for s in range(1, length + 1):
+        moved = translate_packed(moved, length)
+        lower = moved < best
+        best[lower] = moved[lower]
+        shift[lower] = s
+        period[(period == 0) & (moved == packs)] = s
+    return np.searchsorted(packs, best), shift, period
+
+
 def translation_permutation(gen):
     """perm with perm[i] = index of the right-translated configuration i."""
-    packs = gen.packs
-    length = _length_of(gen)
-    out = np.empty(len(packs), dtype=np.int64)
-    lookup = {int(x): i for i, x in enumerate(packs)}
-    for i, x in enumerate(packs):
-        out[i] = lookup[_kernels.translate_packed(int(x), length)]
-    return out
+    return np.searchsorted(gen.packs,
+                           translate_packed(gen.packs, _length_of(gen)))
 
 
 def _length_of(gen):
@@ -255,48 +326,36 @@ def project_momentum(gen, k):
     """Block of the generator on the translation eigenspace exp(2 pi i k / L).
 
     Basis vectors are normalized sums over translation orbits; an orbit of
-    period d contributes to momentum k iff k*d = 0 mod L.
+    period d contributes to momentum k iff k*d = 0 mod L.  Column a of the
+    block is the generator applied to representative a, each entry folded
+    onto its target's orbit with the phase of the shift reaching it.
     """
     length = _length_of(gen)
     if not 0 <= k < length:
         raise ValueError("momentum out of range")
     packs = gen.packs
-    rep, shift, period = _kernels.orbit_table(length, packs)
-    is_rep = rep == np.arange(len(packs))
-    keep = is_rep & ((k * period) % length == 0)
+    rep, shift, period = orbit_table(length, packs)
+    keep = (rep == np.arange(len(packs))) & ((k * period) % length == 0)
     rep_rows = np.flatnonzero(keep)
-    block_index = {int(r): a for a, r in enumerate(rep_rows)}
-    n = len(rep_rows)
+    block = np.full(len(packs), -1, dtype=np.int64)
+    block[rep_rows] = np.arange(len(rep_rows))
     omega = np.exp(2j * np.pi * k / length)
+    phases = np.array([omega ** s for s in range(length)])
 
-    rows_out, cols_out, vals_out = [], [], []
-    csr = gen.to_csr().tocsc()
-    for a, r in enumerate(rep_rows):
-        col = csr.getcol(int(r))
-        d_a = period[r]
-        for t, v in zip(col.indices, col.data):
-            b_rep = rep[t]
-            if b_rep not in block_index:
-                continue  # target orbit incompatible with this momentum
-            b = block_index[b_rep]
-            d_b = period[t]
-            phase = omega ** int(shift[t])
-            rows_out.append(b)
-            cols_out.append(a)
-            vals_out.append(v * np.sqrt(d_a / d_b) * phase)
+    src, dst = gen.cols, gen.rows
+    sel = keep[src] & keep[rep[dst]]
+    src, dst = src[sel], dst[sel]
+    vals = (gen.vals[sel] * np.sqrt(period[src] / period[dst])
+            * phases[shift[dst]])
     rows_out, cols_out, vals_out = _sorted_coo(
-        np.array(rows_out, dtype=np.int64),
-        np.array(cols_out, dtype=np.int64),
-        np.array(vals_out, dtype=complex),
-        n,
-    )
+        block[rep[dst]], block[src], vals, len(rep_rows))
     sec = gen.sector
     new_sector = None
     if sec is not None:
         new_sector = Sector(sec.length, sec.n_a, sec.n_b, momentum=k)
     return SectorGenerator(
-        sector=new_sector, dimension=n, rows=rows_out, cols=cols_out,
-        vals=vals_out, packs=packs[rep_rows],
+        sector=new_sector, dimension=len(rep_rows), rows=rows_out,
+        cols=cols_out, vals=vals_out, packs=packs[rep_rows],
     )
 
 

@@ -179,16 +179,17 @@ def transfer_trace(length, theta):
 
 
 def _invert_tau0(tau0):
-    """tau(0) is the one-site translation; invert exactly when detected."""
+    """tau(0) is the one-site translation: a permutation, inverted exactly
+    by its transpose."""
     dense = np.asarray(tau0.todense())
     is_perm = (
         np.all((np.abs(dense) < 1e-12) | (np.abs(dense - 1) < 1e-12))
         and np.all(np.abs(dense.sum(axis=0) - 1) < 1e-12)
         and np.all(np.abs(dense.sum(axis=1) - 1) < 1e-12)
     )
-    if is_perm:
-        return np.round(dense.real).T.astype(float), True
-    return np.linalg.inv(dense), False
+    if not is_perm:
+        raise ValueError("tau(0) is not a permutation matrix")
+    return np.round(dense.real).T.astype(float)
 
 
 def hamiltonian_from_transfer(length, step=1e-4):
@@ -203,7 +204,7 @@ def hamiltonian_from_transfer(length, step=1e-4):
     d1 = (tau(step) - tau(-step)) / (2.0 * step)
     d2 = (tau(step / 2) - tau(-step / 2)) / step
     dtau = (4.0 * d2 - d1) / 3.0
-    inv0, _ = _invert_tau0(transfer_trace(length, 0.0))
+    inv0 = _invert_tau0(transfer_trace(length, 0.0))
     return dtau @ inv0
 
 

@@ -18,7 +18,10 @@ from tasep2 import (
     dense_spectrum,
     energy_from_roots,
     energy_raw,
+    krylov_gap,
+    project_momentum,
     solve_bethe,
+    solve_gap_state,
 )
 from tasep2.bethe import (
     DEFAULT_ENERGY_MAP,
@@ -185,6 +188,20 @@ def test_continuation_l9_matches_ed(gap_chain_36, spectrum_l9_equal):
     e = energy_from_roots(gap_chain_36[9])
     assert abs(e.real - spectrum_l9_equal.gap.real) <= 1e-9
     assert abs(abs(e.imag) - abs(spectrum_l9_equal.gap.imag)) <= 1e-9
+
+
+def test_momentum_block_gaps_match_bethe(spectrum_l9_equal):
+    """The gap pair lives in the k=1 and k=L-1 blocks, so the k=1 block
+    reproduces the sector gap at L=9 (dense) and the Bethe gap at L=12
+    (shift-inverted), up to complex conjugation."""
+    def off(got, want):
+        return min(abs(got - want), abs(got - np.conj(want)))
+
+    blk = project_momentum(build_hamiltonian_tasep(9, Sector(9, 3, 3)), 1)
+    assert off(dense_spectrum(blk).gap, spectrum_l9_equal.gap) <= 1e-9
+    blk = project_momentum(build_hamiltonian_tasep(12, Sector(12, 4, 4)), 1)
+    bethe_gap = energy_from_roots(solve_gap_state(12))
+    assert off(krylov_gap(blk, seed=0).gap, bethe_gap) <= 1e-9
 
 
 def test_chain_residuals_and_counts(gap_chain_36):

@@ -6,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from tasep2 import cli
+from tasep2 import bethe, cli
 
 
 def _schema(name):
@@ -174,6 +174,32 @@ def test_scale_coarse_range(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "scaling_report.json").read_text())
     assert abs(report["z_estimate"] - 1.5) <= 0.2
+
+
+def test_scale_failure_writes_converged_prefix(tmp_path, monkeypatch):
+    """A failed continuation step keeps the converged prefix of the chain
+    without solving the chain again."""
+    continue_in_l, solve_gap_chain = bethe.continue_in_L, bethe.solve_gap_chain
+    chain_calls = []
+
+    def failing_step(roots, target_length, **kwargs):
+        if target_length == 15:
+            raise bethe.NewtonDivergenceError("injected failure at L=15")
+        return continue_in_l(roots, target_length, **kwargs)
+
+    def counted_chain(*args, **kwargs):
+        chain_calls.append(args)
+        return solve_gap_chain(*args, **kwargs)
+
+    monkeypatch.setattr(bethe, "continue_in_L", failing_step)
+    monkeypatch.setattr(bethe, "solve_gap_chain", counted_chain)
+    rc = run(["scale", "--from", "6", "--to", "33",
+              "--output-dir", str(tmp_path)])
+    assert rc == cli.EXIT_NUMERICAL
+    lines = (tmp_path / "gap_series.csv").read_text().strip().splitlines()
+    assert lines[0] == "L,gap_re"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [6, 9, 12]
+    assert len(chain_calls) == 1
 
 
 def test_check_yang_baxter(tmp_path):

@@ -1,13 +1,10 @@
-"""Packed-integer kernels against brute-force references, both code paths."""
-
-import os
-import subprocess
-import sys
+"""Packed-integer kernels of `tasep2.lattice` against brute-force references."""
 
 import numpy as np
 import pytest
 
-from tasep2 import _kernels
+from tasep2 import lattice
+from tasep2.lattice import Sector
 
 import oracles
 
@@ -17,9 +14,10 @@ def packed(config):
     return sum(d * 3 ** (length - 1 - j) for j, d in enumerate(config))
 
 
-@pytest.mark.parametrize("length,n_a,n_b", [(2, 1, 1), (4, 1, 2), (6, 2, 2), (7, 3, 2)])
+@pytest.mark.parametrize("length,n_a,n_b", [(2, 1, 1), (4, 1, 2), (6, 2, 2),
+                                            (7, 3, 2), (9, 3, 3), (10, 3, 3)])
 def test_enumerate_matches_bruteforce(length, n_a, n_b):
-    packs = _kernels.enumerate_packed(length, n_a, n_b)
+    packs = lattice.sector_packs(Sector(length, n_a, n_b))
     ref = [packed(c) for c in oracles.ring_states(length, n_a, n_b)]
     np.testing.assert_array_equal(packs, ref)
 
@@ -27,8 +25,8 @@ def test_enumerate_matches_bruteforce(length, n_a, n_b):
 @pytest.mark.parametrize("length,n_a,n_b,gr,gl",
                          [(5, 2, 1, 1.0, 0.0), (4, 1, 1, 1.0, 0.5), (6, 2, 2, 1.0, 0.0)])
 def test_assembly_matches_bruteforce(length, n_a, n_b, gr, gl):
-    packs = _kernels.enumerate_packed(length, n_a, n_b)
-    rows, cols, vals = _kernels.assemble_moves(length, packs, gr, gl)
+    packs = lattice.sector_packs(Sector(length, n_a, n_b))
+    rows, cols, vals = lattice.assemble_moves(length, packs, gr, gl)
     n = len(packs)
     mat = np.zeros((n, n))
     for r, c, v in zip(rows, cols, vals):
@@ -41,45 +39,23 @@ def test_translate_packed_is_cyclic_shift():
     length = 5
     for c in oracles.ring_states(length, 2, 1):
         shifted = (c[-1],) + c[:-1]
-        assert _kernels.translate_packed(packed(c), length) == packed(shifted)
+        assert lattice.translate_packed(packed(c), length) == packed(shifted)
 
 
 def test_orbit_table_consistency():
     length = 6
-    packs = _kernels.enumerate_packed(length, 2, 2)
-    rep, shift, period = _kernels.orbit_table(length, packs)
+    packs = lattice.sector_packs(Sector(length, 2, 2))
+    rep, shift, period = lattice.orbit_table(length, packs)
     for i, x in enumerate(packs):
         assert period[i] >= 1 and length % period[i] == 0
         t = int(x)
         for _ in range(int(shift[i])):
-            t = _kernels.translate_packed(t, length)
+            t = lattice.translate_packed(t, length)
         assert t == packs[rep[i]]
         # representative is the orbit minimum
         orbit = [int(x)]
-        t = _kernels.translate_packed(int(x), length)
+        t = lattice.translate_packed(int(x), length)
         while t != int(x):
             orbit.append(t)
-            t = _kernels.translate_packed(t, length)
+            t = lattice.translate_packed(t, length)
         assert packs[rep[i]] == min(orbit)
-
-
-def test_python_fallback_matches_numba():
-    """The env flag must select a fallback producing identical arrays."""
-    code = (
-        "import os, numpy as np\n"
-        "from tasep2 import _kernels\n"
-        "assert _kernels.USE_NUMBA == (os.environ.get('TASEP2_NO_NUMBA') != '1')\n"
-        "packs = _kernels.enumerate_packed(6, 2, 2)\n"
-        "rows, cols, vals = _kernels.assemble_moves(6, packs, 1.0, 0.0)\n"
-        "rep, shift, period = _kernels.orbit_table(6, packs)\n"
-        "print(hash((packs.tobytes(), rows.tobytes(), cols.tobytes(),\n"
-        "            vals.tobytes(), rep.tobytes(), shift.tobytes(),\n"
-        "            period.tobytes())))\n"
-    )
-    outs = []
-    for flag in ("0", "1"):
-        env = dict(os.environ, TASEP2_NO_NUMBA=flag, PYTHONHASHSEED="0")
-        res = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        outs.append(res.stdout.strip())
-    assert outs[0] == outs[1]

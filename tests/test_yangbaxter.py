@@ -14,6 +14,7 @@ from tasep2 import (
     transfer_hamiltonian_check,
 )
 from tasep2.yangbaxter import (
+    _invert_tau0,
     _swap23,
     fun_g,
     fun_h,
@@ -163,6 +164,10 @@ def test_tau_zero_is_translation():
         np.testing.assert_allclose(mat.sum(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
         assert not np.allclose(mat, np.eye(3 ** length))
+        inv = _invert_tau0(transfer_trace(length, 0.0))
+        np.testing.assert_array_equal(inv @ mat, np.eye(3 ** length))
+    with pytest.raises(ValueError):
+        _invert_tau0(transfer_trace(2, 0.3))
 
 
 def test_transfer_size_limit():
