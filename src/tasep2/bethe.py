@@ -12,10 +12,20 @@ are solved in logarithmic form with explicit branch integers,
     L ln(Z_k/(Z_k-1)) - sum_{s != k} ln(Z_k/Z_s) - i pi (p-1)
         - sum_j ln(Y_j/(Y_j - Z_k)) - 2 pi i I_k = 0,
 
-and the analogous second line with integers J_j.  Newton iteration uses the
-analytic Jacobian; for curve continuation the integers are re-synced to the
-principal logarithms at each iterate (the exponentiated system is invariant
-under that bookkeeping, which removes branch-cut stalls).
+and the analogous second line with integers J_j.  One damped Newton core
+(`_newton`) with the analytic Jacobian solves every system.  `solve_bethe`
+keeps the integers fixed.  Curve continuation re-syncs them to the principal
+logarithms at every trial point: one principal-log residual F0 gives
+I = round(Im F0 / 2 pi) and the residual F0 - 2 pi i I (the exponentiated
+system is invariant under that bookkeeping, which removes branch-cut stalls).
+
+Residual and Jacobian are O(p^2) numpy.  A row of the residual adds terms of
+size up to ~L before they cancel, so the row sums are carried in extended
+precision where the platform has it.  A solve converges at a max-norm
+residual <= SOLVER_TOL = 1e-13.  The one fallback: when the line search
+cannot lower the residual but it is already below the roundoff floor
+eps * (L + p + r) * max|log term|, the roots are accepted, the residual
+reached is stored in `residual_norm`, and the acceptance is logged at DEBUG.
 
 A sector-reduced excitation energy e = E_raw - L - 2p with
 E_raw = L + sum_k 2 Z_k/(Z_k - 1) maps onto generator eigenvalues through an
@@ -24,6 +34,7 @@ verified against exact diagonalization at L = 6 and 9.
 """
 
 import json
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +44,8 @@ from .spectra import dense_spectrum
 
 SOLVER_TOL = 1e-13
 MULTISTART_RADII = (0.5, 1.0, 2.0)
+
+logger = logging.getLogger(__name__)
 
 
 class BetheError(RuntimeError):
@@ -134,72 +147,105 @@ class BetheRootSet:
 # ---------------------------------------------------------------------------
 # residuals
 
+_SINGULAR_TOL = 1e-14
+_POLES = np.array([0.0, 1.0], dtype=complex)
+
+
 def _check_args(Z, Y):
-    if len(Z) == 0:
-        return
-    if np.min(np.abs(Z)) < 1e-14:
-        raise SingularRootError("a first-level root hit Z = 0")
-    if np.min(np.abs(Z - 1.0)) < 1e-14:
-        k = int(np.argmin(np.abs(Z - 1.0)))
-        raise SingularRootError(f"root Z_{k} hit the pole Z = 1")
-    if len(Z) > 1:
-        diff = np.abs(Z[:, None] - Z[None, :]) + np.eye(len(Z))
-        if diff.min() < 1e-14:
-            a, b = np.unravel_index(np.argmin(diff), diff.shape)
-            raise SingularRootError(f"coinciding roots Z_{a} = Z_{b}")
-    if len(Y) and len(Z):
-        if np.min(np.abs(Y[:, None] - Z[None, :])) < 1e-14:
-            raise SingularRootError("second-level root collided with Z")
-    if len(Y) > 1:
-        diff = np.abs(Y[:, None] - Y[None, :]) + np.eye(len(Y))
-        if diff.min() < 1e-14:
+    """Raise `SingularRootError` when a root sits on a pole of the equations
+    (Z = 0, Z = 1, Z_k = Z_l, Y_j = Z_k or Y_j = Y_n)."""
+    p, r = len(Z), len(Y)
+    # distances of every Z_k to 0, 1, the other Z and the Y, in one matrix
+    d = np.abs(Z[:, None] - np.concatenate((_POLES, Z, Y)))
+    d.ravel()[2::p + r + 3] = np.inf
+    if p and d.min() < _SINGULAR_TOL:
+        k, c = np.unravel_index(np.argmin(d), d.shape)
+        if c == 0:
+            raise SingularRootError("a first-level root hit Z = 0")
+        if c == 1:
+            raise SingularRootError(f"root Z_{k} hit the pole Z = 1")
+        if c < p + 2:
+            raise SingularRootError(f"coinciding roots Z_{k} = Z_{c - 2}")
+        raise SingularRootError("second-level root collided with Z")
+    if r > 1:
+        d = np.abs(Y[:, None] - Y)
+        np.fill_diagonal(d, np.inf)
+        if d.min() < _SINGULAR_TOL:
             raise SingularRootError("coinciding second-level roots")
 
 
-def _residual(Z, Y, length, I, J):
-    p, r = len(Z), len(Y)
+def _offdiag_log_ratios(X):
+    """Matrix ln(X_a / X_b) with a zero diagonal."""
+    D = np.log(X[:, None] / X)
+    D.ravel()[::len(X) + 1] = 0.0
+    return D
+
+
+# row sums reach hundreds before they cancel to ~1e-13, so they are carried
+# in extended precision where the platform has it (x87 long double)
+_EXT = np.clongdouble
+_PI_EXT = 4 * np.arctan(np.longdouble(1))
+
+
+def _log_residual(Z, Y, length, K=None):
+    """Log-form residual and its branch integers K = (I, J).
+
+    With K = None the integers are re-synced to the principal logarithms:
+    K = round(Im F0 / 2 pi) for the residual F0 taken with K = 0.  The p x p
+    log-ratio terms are computed in double and added by numpy's pairwise
+    `sum(axis=1)` into extended-precision row sums, which also take the
+    L ln(Z/(Z-1)) and the constant and integer terms.
+    """
     _check_args(Z, Y)
-    F = np.empty(p + r, dtype=complex)
-    for k in range(p):
-        s = (length * np.log(Z[k] / (Z[k] - 1.0))
-             - 1j * np.pi * (p - 1) - 2j * np.pi * I[k])
-        for l in range(p):
-            if l != k:
-                s -= np.log(Z[k] / Z[l])
-        for j in range(r):
-            s -= np.log(Y[j] / (Y[j] - Z[k]))
-        F[k] = s
-    for j in range(r):
-        s = -1j * np.pi * (r - 1) - 2j * np.pi * J[j]
-        for k in range(p):
-            s += np.log(Y[j] / (Y[j] - Z[k]))
-        for n in range(r):
-            if n != j:
-                s -= np.log(Y[j] / Y[n])
-        F[p + j] = s
-    return F
+    p, r = len(Z), len(Y)
+    Ze = Z.astype(_EXT)
+    F = (length * np.log(Ze / (Ze - 1))
+         - _offdiag_log_ratios(Z).sum(axis=1, dtype=_EXT))
+    half_turns = p - 1  # the -i pi (p - 1) of a first-level row
+    if r:
+        W = np.log(Y / (Y - Z[:, None]))  # W[k, j] = ln(Y_j / (Y_j - Z_k))
+        F -= W.sum(axis=1, dtype=_EXT)
+        F = np.concatenate((F, W.sum(axis=0, dtype=_EXT)
+                            - _offdiag_log_ratios(Y).sum(axis=1, dtype=_EXT)))
+        half_turns = np.repeat((p - 1, r - 1), (p, r))
+    if K is None:
+        K = np.rint((F.imag / _PI_EXT - half_turns) / 2).astype(int)
+    F.imag -= _PI_EXT * (half_turns + 2 * K)
+    return F.astype(complex), K
+
+
+def _residual(Z, Y, length, I, J):
+    """Log-form residual with branch integers I (first level), J (second)."""
+    return _log_residual(Z, Y, length, np.concatenate((I, J)))[0]
+
+
+def _roundoff_floor(Z, Y, length):
+    """Smallest residual the log sums can resolve at these roots:
+    eps * (L + p + r) * the largest single log term."""
+    terms = [np.abs(np.log(Z / (Z - 1.0))), np.abs(_offdiag_log_ratios(Z))]
+    if len(Y):
+        terms += [np.abs(np.log(Y / (Y - Z[:, None]))),
+                  np.abs(_offdiag_log_ratios(Y))]
+    biggest = max(float(t.max()) for t in terms)
+    return np.finfo(float).eps * (length + len(Z) + len(Y)) * biggest
 
 
 def _jacobian(Z, Y, length):
     p, r = len(Z), len(Y)
-    J = np.zeros((p + r, p + r), dtype=complex)
-    for k in range(p):
-        J[k, k] = -length / (Z[k] * (Z[k] - 1.0)) - (p - 1) / Z[k]
-        for l in range(p):
-            if l != k:
-                J[k, l] = 1.0 / Z[l]
-        for j in range(r):
-            J[k, k] -= 1.0 / (Y[j] - Z[k])
-            J[k, p + j] = -(1.0 / Y[j] - 1.0 / (Y[j] - Z[k]))
-    for j in range(r):
-        J[p + j, p + j] -= (r - 1) / Y[j]
-        for k in range(p):
-            J[p + j, p + j] += 1.0 / Y[j] - 1.0 / (Y[j] - Z[k])
-            J[p + j, k] = 1.0 / (Y[j] - Z[k])
-        for n in range(r):
-            if n != j:
-                J[p + j, p + n] = 1.0 / Y[n]
-    return J
+    Jm = np.empty((p + r, p + r), dtype=complex)
+    inv_z = 1.0 / Z
+    Jm[:p, :p] = inv_z  # dF_k/dZ_l = 1/Z_l off the diagonal
+    diag = -length / (Z * (Z - 1.0)) - (p - 1) * inv_z
+    if r:
+        inv_y = 1.0 / Y
+        G = 1.0 / (Y - Z[:, None])  # G[k, j] = 1/(Y_j - Z_k)
+        diag -= G.sum(axis=1)
+        Jm[:p, p:] = G - inv_y
+        Jm[p:, :p] = G.T
+        Jm[p:, p:] = inv_y
+        np.fill_diagonal(Jm[p:, p:], (p - r + 1) * inv_y - G.sum(axis=0))
+    np.fill_diagonal(Jm[:p, :p], diag)
+    return Jm
 
 
 def bethe_residual(roots):
@@ -211,101 +257,85 @@ def bethe_residual(roots):
 def product_form_mismatch(roots):
     """Max |LHS - RHS| of the exponentiated (product-form) equations."""
     Z, Y, L = roots.big_z, roots.big_y, roots.length
-    p, r = len(Z), len(Y)
-    worst = 0.0
-    for k in range(p):
-        lhs = (Z[k] / (Z[k] - 1.0)) ** L
-        rhs = np.prod([-Z[k] / Z[s] for s in range(p) if s != k] or [1.0])
-        rhs *= np.prod([Y[j] / (Y[j] - Z[k]) for j in range(r)] or [1.0])
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    for j in range(r):
-        lhs = np.prod([Y[j] / (Y[j] - Z[k]) for k in range(p)] or [1.0])
-        rhs = np.prod([-Y[j] / Y[n] for n in range(r) if n != j] or [1.0])
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
+    M = -Z[:, None] / Z
+    np.fill_diagonal(M, 1.0)
+    W = Y / (Y - Z[:, None])  # W[k, j] = Y_j / (Y_j - Z_k)
+    N = -Y[:, None] / Y
+    np.fill_diagonal(N, 1.0)
+    lhs = np.concatenate(((Z / (Z - 1.0)) ** L, W.prod(axis=0)))
+    rhs = np.concatenate((M.prod(axis=1) * W.prod(axis=1), N.prod(axis=1)))
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+    return float(np.max(np.abs(lhs - rhs) / scale, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
-# Newton solvers
+# Newton solver
 
-def _newton_fixed(Z0, Y0, length, I, J, tol=SOLVER_TOL, max_iter=200):
-    """Damped Newton with fixed branch integers.  Returns (Z, Y) or raises."""
+def _newton(Z0, Y0, length, I=None, J=None, tol=SOLVER_TOL):
+    """Damped Newton on the log-form system; the one solver of this module.
+
+    With integers (I, J) given they stay fixed, and a line search that
+    cannot lower the residual ends the solve.  With I = None they are
+    re-synced at every trial: the principal-log residual F0 is evaluated
+    once, the integers are round(Im F0 / 2 pi) and the residual is
+    F0 - 2 pi i (I, J), so the iteration crosses logarithm cuts without
+    stalling, and a failed line search takes the full step instead.
+
+    Converged means a max-norm residual <= tol.  A failed line search also
+    ends the solve, as converged, when the residual is already below the
+    roundoff floor of the log sums (`_roundoff_floor`).
+    Returns (Z, Y, I, J, residual_norm) or raises a `BetheError`.
+    """
+    fixed = None if I is None else np.concatenate((I, J))
+    resync = fixed is None
     Z = np.array(Z0, dtype=complex)
     Y = np.array(Y0, dtype=complex)
+    p = len(Z)
+    # a re-synced solve may hop cut ledges, so it gets the larger budget
+    max_iter, max_halvings = (300, 40) if resync else (200, 30)
+
+    def evaluate(Z, Y):
+        F, K = _log_residual(Z, Y, length, fixed)
+        return F, K, float(np.abs(F).max())
+
+    F, K, nrm = evaluate(Z, Y)
     for _ in range(max_iter):
-        F = _residual(Z, Y, length, I, J)
-        nrm = np.max(np.abs(F))
         if nrm <= tol:
-            return Z, Y
+            break
         try:
             step = np.linalg.solve(_jacobian(Z, Y, length), -F)
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergenceError(f"singular Jacobian: {exc}") from exc
         lam = 1.0
-        for _ in range(30):
-            Zn = Z + lam * step[:len(Z)]
-            Yn = Y + lam * step[len(Z):]
+        for _ in range(max_halvings):
+            Zn, Yn = Z + lam * step[:p], Y + lam * step[p:]
             try:
-                Fn = _residual(Zn, Yn, length, I, J)
+                trial = evaluate(Zn, Yn)
             except SingularRootError:
                 lam *= 0.5
                 continue
-            if np.max(np.abs(Fn)) < nrm:
-                Z, Y = Zn, Yn
+            if trial[2] < nrm:
+                Z, Y, (F, K, nrm) = Zn, Yn, trial
                 break
             lam *= 0.5
         else:
-            raise NewtonDivergenceError(
-                f"line search stalled at residual {nrm:.3e}"
-            )
-    raise NewtonDivergenceError("iteration budget exhausted")
-
-
-def _resync_integers(Z, Y, length):
-    """Integers making the principal-log residual nearest to zero."""
-    p, r = len(Z), len(Y)
-    F = _residual(Z, Y, length, np.zeros(p, int), np.zeros(r, int))
-    return (np.round((F[:p] / (2j * np.pi)).real).astype(int),
-            np.round((F[p:] / (2j * np.pi)).real).astype(int))
-
-
-def _newton_adaptive(Z0, length, tol=SOLVER_TOL, max_iter=300):
-    """Branch-adaptive Newton (first level only): integers re-synced each
-    step so the iteration can cross logarithm cuts without stalling."""
-    Z = np.array(Z0, dtype=complex)
-    Y = np.zeros(0, dtype=complex)
-    Jv = np.zeros(0, dtype=int)
-    for _ in range(max_iter):
-        I, _ = _resync_integers(Z, Y, length)
-        F = _residual(Z, Y, length, I, Jv)
-        nrm = np.max(np.abs(F))
-        if nrm <= tol:
-            return Z, I
-        try:
-            step = np.linalg.solve(_jacobian(Z, Y, length), -F)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergenceError(f"singular Jacobian: {exc}") from exc
-        lam, accepted = 1.0, False
-        for _ in range(40):
-            Zn = Z + lam * step
-            try:
-                In, _ = _resync_integers(Zn, Y, length)
-                Fn = _residual(Zn, Y, length, In, Jv)
-            except SingularRootError:
-                lam *= 0.5
-                continue
-            if np.max(np.abs(Fn)) < nrm:
-                Z, accepted = Zn, True
+            floor = _roundoff_floor(Z, Y, length)
+            if nrm <= floor:
+                logger.debug("L=%s, p=%d: accepted at the roundoff floor, "
+                             "residual %.3e > tol %.1e, floor %.3e",
+                             length, p, nrm, tol, floor)
                 break
-            lam *= 0.5
-        if not accepted:
-            Z = Z + step  # full step to hop off a cut ledge
-    I, _ = _resync_integers(Z, Y, length)
-    if np.max(np.abs(_residual(Z, Y, length, I, Jv))) <= tol:
-        return Z, I
-    raise NewtonDivergenceError("adaptive iteration budget exhausted")
+            if not resync:
+                raise NewtonDivergenceError(
+                    f"line search stalled at residual {nrm:.3e}")
+            # full step to hop off a cut ledge
+            Z, Y = Z + step[:p], Y + step[p:]
+            F, K, nrm = evaluate(Z, Y)
+    else:
+        if nrm > tol:
+            raise NewtonDivergenceError(
+                f"iteration budget exhausted at residual {nrm:.3e}")
+    return Z, Y, K[:p], K[p:], nrm
 
 
 def _multistart_seeds(p, r, seed):
@@ -350,7 +380,7 @@ def solve_bethe(length, p, r=0, branch_integers=None, second_integers=None,
     last_exc = None
     for Z0, Y0 in attempts:
         try:
-            Z, Y = _newton_fixed(Z0, Y0, length, I, J, tol=tol)
+            Z, Y, _, _, res = _newton(Z0, Y0, length, I, J, tol=tol)
         except BetheError as exc:
             last_exc = exc
             continue
@@ -360,7 +390,6 @@ def solve_bethe(length, p, r=0, branch_integers=None, second_integers=None,
                 last_exc = SingularRootError(
                     "converged to coinciding roots (vanishing state)")
                 continue
-        res = np.max(np.abs(_residual(Z, Y, length, I, J)))
         return BetheRootSet.from_big_z(length, Z, Y, I, J, residual_norm=res)
     raise NewtonDivergenceError(
         f"no converged solution for L={length}, p={p}, r={r}, I={I.tolist()}"
@@ -478,13 +507,8 @@ def counting_values(roots):
     picks up Re ln|Z_j/(Z_j-1)| twice).
     """
     Z, L = roots.big_z, roots.length
-    p = len(Z)
-    out = np.empty(p, dtype=complex)
-    for j in range(p):
-        g = np.log(Z[j] / (Z[j] - 1.0))
-        s = sum(np.log(Z[l] / Z[j]) for l in range(p) if l != j)
-        out[j] = -1j * (g + s / L)
-    return out
+    s = _offdiag_log_ratios(Z).sum(axis=0)  # sum_l ln(Z_l / Z_j)
+    return -1j * (np.log(Z / (Z - 1.0)) + s / L)
 
 
 def counting_check(roots, tol=1e-10):
@@ -573,12 +597,9 @@ def _extrapolant_between(e_old, e_new, l_old, l_new):
 
 def _solve_adaptive_checked(seed_z, target_length, prev_energy, prev_length,
                             tol=SOLVER_TOL):
-    Z, I = _newton_adaptive(seed_z, target_length, tol=tol)
-    rs = BetheRootSet.from_big_z(
-        target_length, Z, np.zeros(0, complex), I,
-        residual_norm=float(np.max(np.abs(_residual(
-            Z, np.zeros(0, complex), target_length, I, np.zeros(0, int))))),
-    )
+    Y = np.zeros(0, complex)
+    Z, _, I, _, res = _newton(seed_z, Y, target_length, tol=tol)
+    rs = BetheRootSet.from_big_z(target_length, Z, Y, I, residual_norm=res)
     e_new = energy_from_roots(rs)
     if e_new.real <= 0:
         raise NewtonDivergenceError("continued state has nonpositive gap")
@@ -593,32 +614,37 @@ def _solve_adaptive_checked(seed_z, target_length, prev_energy, prev_length,
 def continue_in_L(roots, target_length, earlier=None, tol=SOLVER_TOL):
     """One continuation step L -> L+3 along the gap branch (p -> p+1).
 
-    Seeds the larger system from the interpolated root curve and verifies
+    Seeds the larger system from the interpolated root curve (Richardson-
+    corrected when an earlier root set is given, else plain) and verifies
     the continued state by its local gap exponent.  Falls back to a homotopy
-    in the (real-valued) size parameter when the direct solve strays.
+    in the (real-valued) size parameter when the direct solves stray; each
+    failed path is logged at DEBUG.
     """
     if target_length != roots.length + 3:
         raise ValueError("continuation proceeds in steps of 3")
     prev_e = energy_from_roots(roots)
-    try:
-        seed = _curve_seed(roots, target_length, earlier)
-        return _solve_adaptive_checked(seed, target_length, prev_e,
-                                       roots.length, tol=tol)
-    except BetheError:
-        pass
-    try:
-        seed = _curve_seed(roots, target_length, None)
-        return _solve_adaptive_checked(seed, target_length, prev_e,
-                                       roots.length, tol=tol)
-    except BetheError:
-        pass
+    paths = [("plain", None)]
+    if earlier is not None:
+        paths.insert(0, ("Richardson", earlier))
+    for path, curve_before in paths:
+        try:
+            seed = _curve_seed(roots, target_length, curve_before)
+            return _solve_adaptive_checked(seed, target_length, prev_e,
+                                           roots.length, tol=tol)
+        except BetheError as exc:
+            logger.debug("L=%d: %s continuation failed: %s", target_length,
+                         path, exc)
     # homotopy: walk the size parameter in unit steps at fixed root count
-    z = _curve_seed(roots, target_length - 2, earlier)
-    for l_real in (target_length - 2, target_length - 1, target_length):
-        z, _ = _newton_adaptive(z, l_real, tol=tol)
-    rs = _solve_adaptive_checked(z, target_length, prev_e, roots.length,
-                                 tol=tol)
-    return rs
+    try:
+        z = _curve_seed(roots, target_length - 2, earlier)
+        for l_real in (target_length - 2, target_length - 1, target_length):
+            z = _newton(z, np.zeros(0, complex), l_real, tol=tol)[0]
+        return _solve_adaptive_checked(z, target_length, prev_e, roots.length,
+                                       tol=tol)
+    except BetheError as exc:
+        logger.debug("L=%d: homotopy continuation failed: %s", target_length,
+                     exc)
+        raise
 
 
 def solve_gap_chain(max_length, seed=0, tol=SOLVER_TOL):

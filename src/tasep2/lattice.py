@@ -157,18 +157,23 @@ class SectorGenerator:
             stream.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
 
 
-def _sorted_coo(rows, cols, vals, dimension):
-    """Deterministic (row, col)-sorted duplicate-free COO."""
-    if len(rows) == 0:
-        return rows, cols, vals
-    key = rows * dimension + cols
+def _sorted_coo(key, vals, dimension):
+    """Deterministic (row, col)-sorted duplicate-free COO from the entry keys
+    row * dimension + col; rows and cols come back from the sorted keys, so
+    only the keys and values are ever permuted."""
+    if len(key) == 0:
+        return key, key.copy(), vals
     order = np.argsort(key, kind="stable")
-    key, rows, cols, vals = key[order], rows[order], cols[order], vals[order]
-    boundary = np.concatenate(([True], key[1:] != key[:-1]))
-    idx = np.flatnonzero(boundary)
-    summed = np.add.reduceat(vals, idx)
-    keep = summed != 0
-    return rows[idx][keep], cols[idx][keep], summed[keep]
+    key, vals = key[order], vals[order]
+    del order
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    vals = np.add.reduceat(vals, first)
+    keep = np.flatnonzero(vals != 0)
+    key, vals = key[first[keep]], vals[keep]
+    del first, keep
+    rows = key // dimension
+    key %= dimension
+    return rows, key, vals
 
 
 def sector_packs(sector):
@@ -238,7 +243,9 @@ def _assemble(length, packs, gamma_r, gamma_l, sector):
     rows, cols, vals = assemble_moves(length, packs, float(gamma_r),
                                       float(gamma_l))
     n = len(packs)
-    rows, cols, vals = _sorted_coo(rows, cols, vals, n)
+    key = rows * n + cols
+    del rows, cols
+    rows, cols, vals = _sorted_coo(key, vals, n)
     return SectorGenerator(
         sector=sector, dimension=n, rows=rows, cols=cols, vals=vals,
         packs=packs,
@@ -348,7 +355,7 @@ def project_momentum(gen, k):
     vals = (gen.vals[sel] * np.sqrt(period[src] / period[dst])
             * phases[shift[dst]])
     rows_out, cols_out, vals_out = _sorted_coo(
-        block[rep[dst]], block[src], vals, len(rep_rows))
+        block[rep[dst]] * len(rep_rows) + block[src], vals, len(rep_rows))
     sec = gen.sector
     new_sector = None
     if sec is not None:

@@ -75,3 +75,60 @@ def sector_matrix_general(length, n_a, n_b, gamma_r, gamma_l):
         ring_states(length, n_a, n_b),
         lambda c: moves_general(c, gamma_r, gamma_l),
     )
+
+
+def bethe_residual_looped(Z, Y, length, I, J):
+    """Log-form nested Bethe residual, one scalar logarithm at a time:
+
+        F_k = L ln(Z_k/(Z_k-1)) - sum_{s != k} ln(Z_k/Z_s) - i pi (p-1)
+              - sum_j ln(Y_j/(Y_j - Z_k)) - 2 pi i I_k,
+        F_{p+j} = sum_k ln(Y_j/(Y_j - Z_k)) - sum_{n != j} ln(Y_j/Y_n)
+                  - i pi (r-1) - 2 pi i J_j.
+    """
+    p, r = len(Z), len(Y)
+    F = np.empty(p + r, dtype=complex)
+    for k in range(p):
+        s = (length * np.log(Z[k] / (Z[k] - 1.0))
+             - 1j * np.pi * (p - 1) - 2j * np.pi * I[k])
+        for l in range(p):
+            if l != k:
+                s -= np.log(Z[k] / Z[l])
+        for j in range(r):
+            s -= np.log(Y[j] / (Y[j] - Z[k]))
+        F[k] = s
+    for j in range(r):
+        s = -1j * np.pi * (r - 1) - 2j * np.pi * J[j]
+        for k in range(p):
+            s += np.log(Y[j] / (Y[j] - Z[k]))
+        for n in range(r):
+            if n != j:
+                s -= np.log(Y[j] / Y[n])
+        F[p + j] = s
+    return F
+
+
+def counting_values_looped(Z, length):
+    """-i (ln(Z_j/(Z_j-1)) + sum_{l != j} ln(Z_l/Z_j) / L) for each root."""
+    p = len(Z)
+    out = np.empty(p, dtype=complex)
+    for j in range(p):
+        g = np.log(Z[j] / (Z[j] - 1.0))
+        s = sum(np.log(Z[l] / Z[j]) for l in range(p) if l != j)
+        out[j] = -1j * (g + s / length)
+    return out
+
+
+def product_form_mismatch_looped(Z, Y, length):
+    """Max scaled |LHS - RHS| of the exponentiated nested Bethe equations."""
+    p, r = len(Z), len(Y)
+    worst = 0.0
+    for k in range(p):
+        lhs = (Z[k] / (Z[k] - 1.0)) ** length
+        rhs = np.prod([-Z[k] / Z[s] for s in range(p) if s != k] or [1.0])
+        rhs *= np.prod([Y[j] / (Y[j] - Z[k]) for j in range(r)] or [1.0])
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
+    for j in range(r):
+        lhs = np.prod([Y[j] / (Y[j] - Z[k]) for k in range(p)] or [1.0])
+        rhs = np.prod([-Y[j] / Y[n] for n in range(r) if n != j] or [1.0])
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
+    return worst

@@ -3,6 +3,7 @@ product-form identities."""
 
 import io
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -23,14 +24,22 @@ from tasep2 import (
     solve_bethe,
     solve_gap_state,
 )
+from tasep2 import bethe
 from tasep2.bethe import (
     DEFAULT_ENERGY_MAP,
+    SOLVER_TOL,
     NewtonDivergenceError,
     SingularRootError,
+    _jacobian,
+    _log_residual,
+    _newton,
     _residual,
+    _roundoff_floor,
+    counting_values,
     gap_branch_integers,
     gap_quantum_numbers,
     product_form_mismatch,
+    solve_gap_chain,
 )
 
 import oracles
@@ -43,6 +52,20 @@ GAP_L12_RE = 0.170064984267566
 @pytest.fixture(scope="module")
 def gap6():
     return solve_bethe(6, 2, 0, branch_integers=gap_branch_integers(2))
+
+
+@pytest.fixture(scope="module")
+def gap_chain_360():
+    return solve_gap_chain(360)
+
+
+def _generic_point(p, r, seed):
+    """p first-level and r second-level roots, and integers, off any
+    solution."""
+    rng = np.random.default_rng(seed)
+    Z = 1.5 * np.exp(2j * np.pi * (np.arange(p) + rng.random(p)) / p)
+    Y = 3.0 * np.exp(2j * np.pi * (np.arange(r) + rng.random(r)) / r)
+    return Z, Y, rng.integers(-2, 3, p), rng.integers(-1, 2, r)
 
 
 def test_empty_residual_for_no_roots():
@@ -175,13 +198,115 @@ def test_conjugate_partner_state(gap6):
     self-conjugate; the conjugated roots solve the system with mirrored
     integers and carry the conjugate energy."""
     Zc = np.conj(gap6.big_z)
-    from tasep2.bethe import _resync_integers
-    I, _ = _resync_integers(Zc, np.zeros(0, complex), 6)
-    F = _residual(Zc, np.zeros(0, complex), 6, I, np.zeros(0, int))
+    from tasep2.bethe import _log_residual
+    F, I = _log_residual(Zc, np.zeros(0, complex), 6)
     assert np.max(np.abs(F)) <= 1e-12
     partner = BetheRootSet.from_big_z(6, Zc, np.zeros(0, complex), I)
     assert energy_from_roots(partner) == pytest.approx(
         np.conj(energy_from_roots(gap6)), abs=1e-12)
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (3, 2)])
+def test_residual_matches_looped_oracle(p, r):
+    Z, Y, I, J = _generic_point(p, r, seed=10 * p + r)
+    want = oracles.bethe_residual_looped(Z, Y, 7, I, J)
+    got = _residual(Z, Y, 7, I, J)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_residual_matches_looped_oracle_at_l330(gap_chain_360):
+    roots = gap_chain_360[330]
+    assert roots.p == 110
+    Z, Y = roots.big_z, roots.big_y
+    I, J = roots.branch_integers, roots.second_integers
+    want = oracles.bethe_residual_looped(Z, Y, 330, I, J)
+    got = _residual(Z, Y, 330, I, J)
+    scale = 330 * np.max(np.abs(np.log(Z / (Z - 1.0))))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    # re-synced integers recover the stored ones
+    F, K = _log_residual(Z, Y, 330)
+    np.testing.assert_array_equal(K, I)
+    np.testing.assert_array_equal(F, got)
+
+
+@pytest.mark.parametrize("p, r", [(3, 0), (3, 2)])
+def test_jacobian_matches_central_difference(p, r):
+    Z, Y, I, J = _generic_point(p, r, seed=p + 5 * r)
+    x = np.concatenate((Z, Y))
+    h = 1e-6
+    numeric = np.empty((p + r, p + r), dtype=complex)
+    for c in range(p + r):
+        e = np.zeros(p + r, dtype=complex)
+        e[c] = h
+        up, down = x + e, x - e
+        numeric[:, c] = (_residual(up[:p], up[p:], 7, I, J)
+                         - _residual(down[:p], down[p:], 7, I, J)) / (2 * h)
+    analytic = _jacobian(Z, Y, 7)
+    assert np.max(np.abs(analytic - numeric)) <= 1e-7 * np.max(np.abs(analytic))
+
+
+def test_counting_and_product_form_match_looped_oracles(gap_chain_36):
+    for length, roots in gap_chain_36.items():
+        Z = roots.big_z
+        np.testing.assert_allclose(
+            counting_values(roots), oracles.counting_values_looped(Z, length),
+            rtol=0, atol=1e-12)
+        assert abs(product_form_mismatch(roots)
+                   - oracles.product_form_mismatch_looped(
+                       Z, roots.big_y, length)) <= 1e-12
+    Z, Y, I, J = _generic_point(3, 2, seed=4)
+    off = BetheRootSet(length=7, p=3, r=2, lam=0.5 * np.log(Z),
+                       Lam=0.5 * np.log(Y), branch_integers=I,
+                       second_integers=J)
+    assert abs(product_form_mismatch(off) - oracles.product_form_mismatch_looped(
+        off.big_z, off.big_y, 7)) <= 1e-12
+
+
+def test_gap_chain_360(gap_chain_360):
+    """Up to L=351 every root set meets the solver tolerance; beyond it a
+    root set may stop at the roundoff floor of its log sums instead."""
+    lengths = sorted(gap_chain_360)
+    assert lengths == list(range(6, 361, 3))
+    for length in lengths:
+        roots = gap_chain_360[length]
+        if length <= 351:
+            assert roots.residual_norm <= SOLVER_TOL, length
+        else:
+            floor = _roundoff_floor(roots.big_z, roots.big_y, length)
+            assert roots.residual_norm <= max(SOLVER_TOL, floor), length
+    gaps = [energy_from_roots(gap_chain_360[l]).real for l in lengths]
+    assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+
+def test_newton_accepts_at_roundoff_floor_and_logs(gap6, caplog):
+    """An unreachable tolerance ends at the roundoff floor, not in an error,
+    and says so at DEBUG."""
+    Z, Y = gap6.big_z, gap6.big_y
+    with caplog.at_level(logging.DEBUG, logger="tasep2.bethe"):
+        Z1, _, I1, _, res = _newton(Z, Y, 6, gap6.branch_integers,
+                                    gap6.second_integers, tol=0.0)
+    assert 0.0 < res <= _roundoff_floor(Z1, Y, 6)
+    np.testing.assert_array_equal(I1, gap6.branch_integers)
+    assert "roundoff floor" in caplog.text
+
+
+def test_swallowed_continuation_failure_is_logged(gap_chain_36, monkeypatch,
+                                                  caplog):
+    real = bethe._solve_adaptive_checked
+    calls = []
+
+    def fail_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NewtonDivergenceError("forced failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bethe, "_solve_adaptive_checked", fail_first)
+    with caplog.at_level(logging.DEBUG, logger="tasep2.bethe"):
+        got = continue_in_L(gap_chain_36[9], 12, earlier=gap_chain_36[6])
+    assert len(calls) == 2
+    assert "L=12: Richardson continuation failed: forced failure" in caplog.text
+    np.testing.assert_allclose(got.big_z, gap_chain_36[12].big_z, atol=1e-12)
 
 
 def test_continuation_l9_matches_ed(gap_chain_36, spectrum_l9_equal):
