@@ -137,6 +137,7 @@ class SectorGenerator:
     cols: np.ndarray
     vals: np.ndarray
     packs: np.ndarray = field(repr=False)
+    momentum: int | None = None  # k of a block made by momentum_blocks
 
     def to_csr(self):
         return sp.csr_matrix(
@@ -145,7 +146,9 @@ class SectorGenerator:
         )
 
     def to_dense(self):
-        return self.to_csr().toarray()
+        mat = np.zeros((self.dimension, self.dimension), dtype=self.vals.dtype)
+        mat[self.rows, self.cols] = self.vals  # triplets are duplicate-free
+        return mat
 
     def column_sums(self):
         return np.asarray(self.to_csr().sum(axis=0)).ravel()
@@ -316,10 +319,11 @@ def orbit_table(length, packs):
 def translation_permutation(gen):
     """perm with perm[i] = index of the right-translated configuration i."""
     return np.searchsorted(gen.packs,
-                           translate_packed(gen.packs, _length_of(gen)))
+                           translate_packed(gen.packs, ring_length(gen)))
 
 
-def _length_of(gen):
+def ring_length(gen):
+    """Number of sites of the ring a sector or full-space generator acts on."""
     if gen.sector is not None:
         return gen.sector.length
     # full space: dimension = 3**L
@@ -329,41 +333,57 @@ def _length_of(gen):
     return length
 
 
-def project_momentum(gen, k):
-    """Block of the generator on the translation eigenspace exp(2 pi i k / L).
+def momentum_blocks(gen, momenta):
+    """Blocks of the generator on the translation eigenspaces exp(2 pi i k / L),
+    one per k in `momenta`, all from one orbit table.
 
     Basis vectors are normalized sums over translation orbits; an orbit of
-    period d contributes to momentum k iff k*d = 0 mod L.  Column a of the
+    period d contributes to momentum k iff k*d = 0 mod L.  Column a of a
     block is the generator applied to representative a, each entry folded
-    onto its target's orbit with the phase of the shift reaching it.
+    onto its target's orbit with the phase of the shift reaching it.  For
+    k = 0 and k = L/2 the phases are exactly +-1 and the block is real.
     """
-    length = _length_of(gen)
-    if not 0 <= k < length:
+    if gen.momentum is not None:
+        raise ValueError("generator is already a momentum block")
+    length = ring_length(gen)
+    if any(not 0 <= k < length for k in momenta):
         raise ValueError("momentum out of range")
     packs = gen.packs
     rep, shift, period = orbit_table(length, packs)
-    keep = (rep == np.arange(len(packs))) & ((k * period) % length == 0)
-    rep_rows = np.flatnonzero(keep)
-    block = np.full(len(packs), -1, dtype=np.int64)
-    block[rep_rows] = np.arange(len(rep_rows))
-    omega = np.exp(2j * np.pi * k / length)
-    phases = np.array([omega ** s for s in range(length)])
-
-    src, dst = gen.cols, gen.rows
-    sel = keep[src] & keep[rep[dst]]
-    src, dst = src[sel], dst[sel]
-    vals = (gen.vals[sel] * np.sqrt(period[src] / period[dst])
-            * phases[shift[dst]])
-    rows_out, cols_out, vals_out = _sorted_coo(
-        block[rep[dst]] * len(rep_rows) + block[src], vals, len(rep_rows))
+    is_rep = rep == np.arange(len(packs))
+    # only columns at orbit representatives enter any block
+    on_rep = is_rep[gen.cols]
+    src, dst = gen.cols[on_rep], gen.rows[on_rep]
+    vals = gen.vals[on_rep] * np.sqrt(period[src] / period[dst])
+    dst_rep, dst_shift = rep[dst], shift[dst]
     sec = gen.sector
-    new_sector = None
-    if sec is not None:
-        new_sector = Sector(sec.length, sec.n_a, sec.n_b, momentum=k)
-    return SectorGenerator(
-        sector=new_sector, dimension=len(rep_rows), rows=rows_out,
-        cols=cols_out, vals=vals_out, packs=packs[rep_rows],
-    )
+    blocks = []
+    for k in momenta:
+        keep = is_rep & ((k * period) % length == 0)
+        rep_rows = np.flatnonzero(keep)
+        index = np.full(len(packs), -1, dtype=np.int64)
+        index[rep_rows] = np.arange(len(rep_rows))
+        omega = np.exp(2j * np.pi * k / length)
+        phases = np.array([omega ** s for s in range(length)])
+        if 2 * k % length == 0:
+            phases = phases.real.round()
+        sel = keep[src] & keep[dst_rep]
+        rows, cols, block_vals = _sorted_coo(
+            index[dst_rep[sel]] * len(rep_rows) + index[src[sel]],
+            vals[sel] * phases[dst_shift[sel]], len(rep_rows))
+        blocks.append(SectorGenerator(
+            sector=None if sec is None else Sector(sec.length, sec.n_a,
+                                                   sec.n_b, momentum=k),
+            dimension=len(rep_rows), rows=rows, cols=cols, vals=block_vals,
+            packs=packs[rep_rows], momentum=k,
+        ))
+    return blocks
+
+
+def project_momentum(gen, k):
+    """Block of the generator on the translation eigenspace exp(2 pi i k / L);
+    see `momentum_blocks`."""
+    return momentum_blocks(gen, [k])[0]
 
 
 def all_sectors(length):

@@ -4,6 +4,20 @@ The generator is non-Hermitian; its spectrum lies in the closed right half
 plane with a simple zero eigenvalue per ergodic sector.  The gap is the
 eigenvalue of smallest strictly positive real part (for a conjugate pair the
 representative with Im >= 0 is reported; only Re enters the scaling law).
+
+Translation commutes with the generator, so a full sector (or the full
+space) is block-diagonal over the L momenta.  Both solvers work one momentum
+block at a time and return the union as one result for the whole sector.
+The generator is real, so block L-k is the complex conjugate of block k:
+only k = 0..L//2 are solved, and the eigenvalues of k = 1..(L-1)//2 are
+entered twice, once conjugated.  Blocks k = 0 and k = L/2 are real matrices.
+A generator that is already a momentum block is solved as it is.
+
+`dense_spectrum` returns every eigenvalue; its `dense_limit` bounds the
+largest block handed to LAPACK, not the sector dimension.  `krylov_gap`
+returns the min(n_eigs, dim - 2) eigenvalues of the sector nearest `sigma`,
+taken from the union of each block's nearest ones, so they are the same
+eigenvalues a shift-invert solve of the undivided sector would target.
 """
 
 from dataclasses import dataclass
@@ -12,6 +26,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from .lattice import momentum_blocks, ring_length
 
 ZERO_TOL = 1e-10
 DENSE_LIMIT = 4000
@@ -65,49 +81,60 @@ def _pick_gap(vals, zero_tol):
     return complex(pick)
 
 
-def dense_spectrum(gen, zero_tol=ZERO_TOL, dense_limit=DENSE_LIMIT):
-    """Full spectrum of one block by LAPACK; refuses oversized blocks."""
-    if gen.dimension > dense_limit:
-        raise ValueError(
-            f"dimension {gen.dimension} exceeds dense limit {dense_limit}; "
-            "use krylov_gap"
-        )
-    mat = gen.to_dense()
-    if np.all(np.isreal(mat)):
-        mat = mat.real
-    vals = scipy.linalg.eigvals(mat) if gen.dimension else np.zeros(0, complex)
-    vals = _sorted_eigs(np.asarray(vals, dtype=complex))
-    zero_count = int(np.sum(np.abs(vals) <= zero_tol))
+def _result(gen, vals, method, zero_tol):
+    vals = _sorted_eigs(vals)
     return SpectrumResult(
         sector=gen.sector,
         eigenvalues=vals,
         gap=_pick_gap(vals, zero_tol),
-        method="dense",
-        zero_count=zero_count,
+        method=method,
+        zero_count=int(np.sum(np.abs(vals) <= zero_tol)),
     )
 
 
-def krylov_gap(gen, seed=0, n_eigs=8, sigma=1e-3, tol=1e-12,
-               residual_tol=1e-10, zero_tol=ZERO_TOL):
-    """Gap and nearby eigenvalues by shift-inverted Arnoldi.
+def _solve_blocks(gen, solve):
+    """Union of `solve(block)` over the momentum blocks k = 0..L//2 of a
+    generator, each k = 1..(L-1)//2 entered with its conjugate twin; a
+    generator that is already a momentum block is solved as it is."""
+    if gen.momentum is not None:
+        return solve(gen)
+    length = ring_length(gen)
+    half = range(length // 2 + 1)
+    parts = []
+    for k, blk in zip(half, momentum_blocks(gen, half)):
+        vals = solve(blk)
+        parts += [vals, vals.conj()] if 0 < k < length - k else [vals]
+    return np.concatenate(parts)
 
-    The shift sits just off the known zero mode so the factorized matrix is
-    nonsingular; the zero eigenvalue is recovered and discarded.  The start
-    vector is drawn from `seed`, and every returned eigenpair is checked
-    against `residual_tol` (failure raises, never a silent wrong answer).
-    """
+
+def _dense_eigvals(gen):
+    if gen.dimension == 0:
+        return np.zeros(0, complex)
+    return np.asarray(scipy.linalg.eigvals(gen.to_dense()), dtype=complex)
+
+
+def dense_spectrum(gen, zero_tol=ZERO_TOL, dense_limit=DENSE_LIMIT):
+    """Full spectrum by LAPACK, one momentum block at a time; refuses a
+    block larger than `dense_limit` (k = 0, the largest, comes first)."""
+    def solve(blk):
+        if blk.dimension > dense_limit:
+            raise ValueError(
+                f"block dimension {blk.dimension} exceeds dense limit "
+                f"{dense_limit}; use krylov_gap"
+            )
+        return _dense_eigvals(blk)
+
+    return _result(gen, _solve_blocks(gen, solve), "dense", zero_tol)
+
+
+def _arnoldi(gen, k, sigma, tol, residual_tol, v0):
+    """The k eigenvalues of one block nearest sigma, residuals checked."""
     n = gen.dimension
-    if n < 3:
-        raise ValueError("block too small for Krylov iteration; use dense_spectrum")
     mat = gen.to_csr().tocsc()
-    if np.all(np.isreal(gen.vals)):
-        mat = mat.real.astype(np.float64)
-    k = min(n_eigs, n - 2)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
     try:
         lu = spla.splu((mat - sigma * sp.identity(n, dtype=mat.dtype,
-                                                  format="csc")).tocsc())
+                                                  format="csc")).tocsc(),
+                       permc_spec="MMD_AT_PLUS_A")
         op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=mat.dtype)
         vals, vecs = spla.eigs(mat, k=k, sigma=sigma, OPinv=op, which="LM",
                                v0=v0, tol=tol)
@@ -124,12 +151,34 @@ def krylov_gap(gen, seed=0, n_eigs=8, sigma=1e-3, tol=1e-12,
         raise ConvergenceError(
             f"eigenpair residuals above {residual_tol}: {resid[bad]}"
         )
-    vals = _sorted_eigs(np.asarray(vals, dtype=complex))
-    zero_count = int(np.sum(np.abs(vals) <= zero_tol))
-    return SpectrumResult(
-        sector=gen.sector,
-        eigenvalues=vals,
-        gap=_pick_gap(vals, zero_tol),
-        method="krylov",
-        zero_count=zero_count,
-    )
+    return np.asarray(vals, dtype=complex)
+
+
+def krylov_gap(gen, seed=0, n_eigs=8, sigma=1e-3, tol=1e-12,
+               residual_tol=1e-10, zero_tol=ZERO_TOL):
+    """Gap and the min(n_eigs, dim - 2) eigenvalues nearest `sigma` by
+    shift-inverted Arnoldi, one momentum block at a time.
+
+    The shift sits just off the known zero mode so the factorized matrix is
+    nonsingular; the zero eigenvalue is recovered and counted in
+    `zero_count`.  The start vectors are drawn from one generator seeded
+    with `seed`, in block order, and every Arnoldi eigenpair is checked
+    against `residual_tol` (failure raises, never a silent wrong answer).
+    A block with fewer than k + 2 states is solved densely, since ARPACK
+    cannot return all its eigenvalues.
+    """
+    n = gen.dimension
+    if n < 3:
+        raise ValueError("block too small for Krylov iteration; use dense_spectrum")
+    k = min(n_eigs, n - 2)
+    rng = np.random.default_rng(seed)
+
+    def solve(blk):
+        if blk.dimension < k + 2:
+            return _dense_eigvals(blk)
+        return _arnoldi(blk, k, sigma, tol, residual_tol,
+                        rng.standard_normal(blk.dimension))
+
+    vals = _solve_blocks(gen, solve)
+    vals = vals[np.argsort(np.abs(vals - sigma), kind="stable")[:k]]
+    return _result(gen, vals, "krylov", zero_tol)

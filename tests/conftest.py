@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tasep2 import (
     Sector,
@@ -41,6 +42,22 @@ def spectrum_l9_equal():
     """Dense spectrum of the L=9 equal-density sector (dimension 1680)."""
     gen = build_hamiltonian_tasep(9, Sector(9, 3, 3))
     return dense_spectrum(gen)
+
+
+@pytest.fixture(scope="session")
+def spectrum_l10_equal():
+    """Dense spectrum of the L=10 equal-density sector (dimension 4200),
+    solved as momentum blocks of about 420."""
+    gen = build_hamiltonian_tasep(10, Sector(10, 3, 3))
+    return dense_spectrum(gen)
+
+
+@pytest.fixture(scope="session")
+def direct_eigs_l9():
+    """Eigenvalues of the undivided L=9 equal-density sector by one LAPACK
+    eig, the reference for the momentum-block solvers."""
+    gen = build_hamiltonian_tasep(9, Sector(9, 3, 3))
+    return scipy.linalg.eigvals(gen.to_dense())
 
 
 def closest(values, target):

@@ -8,6 +8,7 @@ kernels, so the two routes check each other.
 import itertools
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 A, B, V = 0, 1, 2
 
@@ -75,6 +76,20 @@ def sector_matrix_general(length, n_a, n_b, gamma_r, gamma_l):
         ring_states(length, n_a, n_b),
         lambda c: moves_general(c, gamma_r, gamma_l),
     )
+
+
+def multiset_distance(a, b):
+    """Largest |a_i - b_j| over the best pairing of every a_i with a distinct
+    b_j (inf if a is longer): small iff a is, up to that distance, a
+    sub-multiset of b, and equal to b as a multiset when the lengths agree."""
+    a, b = np.asarray(a), np.asarray(b)
+    if len(a) > len(b):
+        return np.inf
+    if len(a) == 0:
+        return 0.0
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
 
 
 def bethe_residual_looped(Z, Y, length, I, J):

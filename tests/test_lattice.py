@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tasep2 import (
     DiffusionRates,
@@ -154,19 +155,27 @@ def test_momentum_blocks_partition_dimension():
     gen = build_hamiltonian_tasep(6, Sector(6, 2, 2))
     dims = [project_momentum(gen, k).dimension for k in range(6)]
     assert sum(dims) == 90
+    # k = 0 and k = L/2 carry phases +-1 exactly, so their blocks are real
+    for k in range(6):
+        blk = project_momentum(gen, k)
+        assert np.iscomplexobj(blk.vals) == (k not in (0, 3)), k
+        assert blk.momentum == k and blk.sector.momentum == k
+    with pytest.raises(ValueError):
+        project_momentum(project_momentum(gen, 1), 1)
 
 
 def test_momentum_union_recovers_sector_spectrum():
     for length, n_a, n_b in ((5, 2, 1), (6, 2, 2), (7, 2, 2)):
         gen = build_hamiltonian_tasep(length, Sector(length, n_a, n_b))
-        full = np.sort(dense_spectrum(gen).eigenvalues.real)
+        direct = scipy.linalg.eigvals(gen.to_dense())
+        full = np.sort(direct.real)
         union = []
         for k in range(length):
             blk = project_momentum(gen, k)
             union.extend(dense_spectrum(blk).eigenvalues)
         union = np.asarray(union)
         np.testing.assert_allclose(np.sort(union.real), full, atol=1e-8)
-        full_im = np.sort(dense_spectrum(gen).eigenvalues.imag)
+        full_im = np.sort(direct.imag)
         np.testing.assert_allclose(np.sort(union.imag), full_im, atol=1e-8)
 
 

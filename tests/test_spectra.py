@@ -4,10 +4,14 @@ import io
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tasep2 import (
     ConvergenceError,
+    DiffusionRates,
     Sector,
+    all_sectors,
+    build_hamiltonian_general,
     build_hamiltonian_tasep,
     dense_spectrum,
     krylov_gap,
@@ -54,6 +58,39 @@ def test_dense_limit_enforced():
         dense_spectrum(gen, dense_limit=10)
 
 
+def test_dense_limit_applies_per_block(spectrum_l10_equal):
+    """The L=10 equal-density sector (dim 4,200) exceeds the limit, but its
+    largest momentum block (about 420) does not."""
+    gen = build_hamiltonian_tasep(10, Sector(10, 3, 3))
+    res = spectrum_l10_equal
+    assert len(res.eigenvalues) == 4200
+    assert res.zero_count == 1
+    assert abs(res.gap - krylov_gap(gen, seed=0).gap) <= 1e-9
+
+
+def test_dense_matches_direct_eig_every_sector(direct_eigs_l9):
+    """Block union against one LAPACK eig of the whole sector: odd and even
+    L, the real k = L/2 block and the conjugate twins."""
+    for length in range(2, 8):
+        for sec in all_sectors(length):
+            gen = build_hamiltonian_tasep(length, sec)
+            direct = scipy.linalg.eigvals(gen.to_dense())
+            got = dense_spectrum(gen).eigenvalues
+            assert oracles.multiset_distance(got, direct) <= 1e-9, sec
+    gen = build_hamiltonian_tasep(9, Sector(9, 3, 3))
+    got = dense_spectrum(gen).eigenvalues
+    assert oracles.multiset_distance(got, direct_eigs_l9) <= 1e-9
+
+
+def test_dense_matches_direct_eig_full_space_and_general_rates():
+    rates = DiffusionRates(1.0, 0.35)
+    for gen in (build_hamiltonian_tasep(4),
+                build_hamiltonian_general(6, rates, Sector(6, 2, 2))):
+        direct = scipy.linalg.eigvals(gen.to_dense())
+        got = dense_spectrum(gen).eigenvalues
+        assert oracles.multiset_distance(got, direct) <= 1e-9
+
+
 def test_every_small_sector_has_simple_zero():
     for length in (2, 3, 4, 5, 6):
         for sec in [s for s in
@@ -83,6 +120,30 @@ def test_krylov_matches_dense_l9(spectrum_l9_equal):
     res = krylov_gap(gen, seed=0)
     assert abs(res.gap - spectrum_l9_equal.gap) <= 1e-10
     assert res.method == "krylov"
+
+
+def test_krylov_full_sector_returns_eigenvalues_nearest_sigma(
+        direct_eigs_l9, spectrum_l10_equal):
+    """The block union keeps the n_eigs eigenvalues of the whole sector
+    nearest sigma.  When the n_eigs-th and the next one are a conjugate pair
+    at equal distance, either may be returned.  The (5,2,1) blocks (dim 6)
+    are too small for ARPACK and are solved densely.  At L=10 the reference
+    is the dense block union, which the tests above check against direct
+    LAPACK."""
+    n_eigs, sigma = 8, 1e-3
+    small = build_hamiltonian_tasep(5, Sector(5, 2, 1))
+    cases = ((small, scipy.linalg.eigvals(small.to_dense())),
+             (build_hamiltonian_tasep(9, Sector(9, 3, 3)), direct_eigs_l9),
+             (build_hamiltonian_tasep(10, Sector(10, 3, 3)),
+              spectrum_l10_equal.eigenvalues))
+    for gen, ref in cases:
+        res = krylov_gap(gen, seed=0, n_eigs=n_eigs, sigma=sigma)
+        ref = ref[np.argsort(np.abs(ref - sigma), kind="stable")]
+        assert res.zero_count == 1
+        np.testing.assert_allclose(np.sort(np.abs(res.eigenvalues - sigma)),
+                                   np.abs(ref[:n_eigs] - sigma), atol=1e-9)
+        assert oracles.multiset_distance(res.eigenvalues,
+                                         ref[:n_eigs + 1]) <= 1e-9
 
 
 def test_krylov_seed_independence():
