@@ -1,9 +1,9 @@
 """Two-species totally asymmetric exclusion process on a ring.
 
 Sector generators and exact spectra, integrability checks (R-matrix,
-transfer matrix), the nested Bethe root solver with curve continuation in
-the system size, and Bulirsch-Stoer extraction of the dynamical exponent
-z = 3/2 from the gap series.
+transfer matrix), the nested Bethe root solver with the one-scalar cubic
+reduction of the gap state, and Bulirsch-Stoer extraction of the dynamical
+exponent z = 3/2 from the gap series.
 """
 
 from .lattice import (
@@ -19,7 +19,6 @@ from .lattice import (
 )
 from .spectra import ConvergenceError, SpectrumResult, dense_spectrum, krylov_gap
 from .yangbaxter import (
-    NestedWeights,
     RMatrix,
     TransferMatrix,
     build_transfer_matrix,
@@ -60,7 +59,6 @@ __all__ = [
     "DiffusionRates",
     "EnergyMap",
     "GapSeries",
-    "NestedWeights",
     "RMatrix",
     "RingConfiguration",
     "Sector",

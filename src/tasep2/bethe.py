@@ -13,11 +13,25 @@ are solved in logarithmic form with explicit branch integers,
         - sum_j ln(Y_j/(Y_j - Z_k)) - 2 pi i I_k = 0,
 
 and the analogous second line with integers J_j.  One damped Newton core
-(`_newton`) with the analytic Jacobian solves every system.  `solve_bethe`
-keeps the integers fixed.  Curve continuation re-syncs them to the principal
-logarithms at every trial point: one principal-log residual F0 gives
-I = round(Im F0 / 2 pi) and the residual F0 - 2 pi i I (the exponentiated
-system is invariant under that bookkeeping, which removes branch-cut stalls).
+(`_newton`) with the analytic Jacobian solves every system with fixed
+integers; given none, it takes them from the principal logarithms at its
+start point: one principal-log residual F0 gives I = round(Im F0 / 2 pi).
+
+The gap state (n_A = n_B = L/3, p = L/3, r = 0) has no second-level roots,
+so with s = Z/(Z-1) every root solves a cubic that shares one complex scalar
+beta with all the others (Gwa & Spohn, PRA 46, 844 (1992); Golinelli &
+Mallick, J. Phys. A 37, 3321 (2004)):
+
+    s^2 (s - 1) = beta exp(2 pi i m / p),     beta^p prod_k Z_k = 1.
+
+With the half-integer labels m = j - (p-1)/2, j = 0..p-2, the gap state
+takes the largest-modulus root of each cubic and the middle-modulus root of
+cubic j = 0.  Newton in ln beta starts from beta = 4/27 (its large-L limit,
+where cubic j = 0 reaches its branch point) or, in a chain, from the beta of
+the previous size.  The branch integers come from the principal logarithms
+of the cubic roots, and one fixed-integer `_newton` polish brings the nested
+residual to SOLVER_TOL.  A gap state must have Re gap > 0, and a chain step
+a local gap exponent in (-1.9, -1.3).  Its energy is E_gen = p - sum_k s_k.
 
 Residual and Jacobian are O(p^2) numpy.  A row of the residual adds terms of
 size up to ~L before they cancel, so the row sums are carried in extended
@@ -274,32 +288,22 @@ def product_form_mismatch(roots):
 def _newton(Z0, Y0, length, I=None, J=None, tol=SOLVER_TOL):
     """Damped Newton on the log-form system; the one solver of this module.
 
-    With integers (I, J) given they stay fixed, and a line search that
-    cannot lower the residual ends the solve.  With I = None they are
-    re-synced at every trial: the principal-log residual F0 is evaluated
-    once, the integers are round(Im F0 / 2 pi) and the residual is
-    F0 - 2 pi i (I, J), so the iteration crosses logarithm cuts without
-    stalling, and a failed line search takes the full step instead.
+    The branch integers (I, J) stay fixed; with I = None they are taken from
+    the principal logarithms at the start point (see `_log_residual`).  A
+    line search that cannot lower the residual ends the solve.
 
     Converged means a max-norm residual <= tol.  A failed line search also
     ends the solve, as converged, when the residual is already below the
     roundoff floor of the log sums (`_roundoff_floor`).
     Returns (Z, Y, I, J, residual_norm) or raises a `BetheError`.
     """
-    fixed = None if I is None else np.concatenate((I, J))
-    resync = fixed is None
     Z = np.array(Z0, dtype=complex)
     Y = np.array(Y0, dtype=complex)
     p = len(Z)
-    # a re-synced solve may hop cut ledges, so it gets the larger budget
-    max_iter, max_halvings = (300, 40) if resync else (200, 30)
-
-    def evaluate(Z, Y):
-        F, K = _log_residual(Z, Y, length, fixed)
-        return F, K, float(np.abs(F).max())
-
-    F, K, nrm = evaluate(Z, Y)
-    for _ in range(max_iter):
+    F, K = _log_residual(Z, Y, length,
+                         None if I is None else np.concatenate((I, J)))
+    nrm = float(np.abs(F).max())
+    for _ in range(200):
         if nrm <= tol:
             break
         try:
@@ -307,15 +311,16 @@ def _newton(Z0, Y0, length, I=None, J=None, tol=SOLVER_TOL):
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergenceError(f"singular Jacobian: {exc}") from exc
         lam = 1.0
-        for _ in range(max_halvings):
+        for _ in range(30):
             Zn, Yn = Z + lam * step[:p], Y + lam * step[p:]
             try:
-                trial = evaluate(Zn, Yn)
+                Fn = _log_residual(Zn, Yn, length, K)[0]
             except SingularRootError:
                 lam *= 0.5
                 continue
-            if trial[2] < nrm:
-                Z, Y, (F, K, nrm) = Zn, Yn, trial
+            nrm_n = float(np.abs(Fn).max())
+            if nrm_n < nrm:
+                Z, Y, F, nrm = Zn, Yn, Fn, nrm_n
                 break
             lam *= 0.5
         else:
@@ -325,12 +330,8 @@ def _newton(Z0, Y0, length, I=None, J=None, tol=SOLVER_TOL):
                              "residual %.3e > tol %.1e, floor %.3e",
                              length, p, nrm, tol, floor)
                 break
-            if not resync:
-                raise NewtonDivergenceError(
-                    f"line search stalled at residual {nrm:.3e}")
-            # full step to hop off a cut ledge
-            Z, Y = Z + step[:p], Y + step[p:]
-            F, K, nrm = evaluate(Z, Y)
+            raise NewtonDivergenceError(
+                f"line search stalled at residual {nrm:.3e}")
     else:
         if nrm > tol:
             raise NewtonDivergenceError(
@@ -533,7 +534,7 @@ def counting_check(roots, tol=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# gap-state chain: quantum numbers, seeding, continuation
+# gap state: quantum numbers and the one-scalar cubic reduction
 
 def gap_quantum_numbers(p):
     """Counting quantum numbers of the slowest excitation: the symmetric
@@ -548,106 +549,85 @@ def gap_branch_integers(p):
     return np.round(I).astype(int)
 
 
-def _order_curve(Z):
-    """Roots ordered along the curve: descending angle of lambda = Log(Z)/2."""
-    lam = 0.5 * np.log(Z)
-    return Z[np.argsort(-np.angle(lam))]
+GAP_BETA_SEED = 4.0 / 27.0  # beta's large-L limit
 
 
-def _interp_curve(x, lam, xq):
-    def one(ys):
-        out = np.interp(xq, x, ys)
-        deg = min(2, len(x) - 1)
-        lo = xq < x[0]
-        out[lo] = np.polyval(np.polyfit(x[:deg + 1], ys[:deg + 1], deg), xq[lo])
-        hi = xq > x[-1]
-        out[hi] = np.polyval(np.polyfit(x[-deg - 1:], ys[-deg - 1:], deg), xq[hi])
-        return out
-    return one(lam.real) + 1j * one(lam.imag)
+def _gap_s(beta, p):
+    """s = Z/(Z-1) of the p gap-state roots at the scalar beta.
+
+    Cubic j = 0..p-2 is s^2 (s - 1) = beta exp(2 pi i m / p) with the
+    half-integer label m = j - (p-1)/2.  All p-1 cubics are solved as one
+    batch of 3x3 companion matrices; each gives its largest-modulus root,
+    and cubic j = 0 also its middle-modulus root.  The roots are returned in
+    that order.
+    """
+    rhs = beta * np.exp(2j * np.pi * (np.arange(p - 1) - (p - 1) / 2.0) / p)
+    companion = np.zeros((p - 1, 3, 3), dtype=complex)
+    companion[:, 0, 0] = 1.0
+    companion[:, 0, 2] = rhs
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    s = np.linalg.eigvals(companion)
+    s = np.take_along_axis(s, np.argsort(np.abs(s), axis=1), axis=1)
+    s, rhs = np.append(s[:, 2], s[0, 1]), np.append(rhs, rhs[0])
+    # one Newton step on each cubic takes the eigenvalue error to roundoff
+    return s - (s * s * (s - 1.0) - rhs) / (s * (3.0 * s - 2.0))
 
 
-def _curve_seed(roots, target_length, earlier=None):
-    """Interpolate the lambda curve over scaled quantum numbers; one extra
-    root at the target size, Richardson-corrected in 1/L when an earlier
-    curve is available."""
-    p = roots.p
-    p_new = p + 1
-    xq = gap_quantum_numbers(p_new) / target_length
+def _solve_gap_s(length, beta):
+    """Unpolished s_k of the gap state at `length`, by Newton in u = ln beta
+    from the seed `beta`.
 
-    def curve(rs):
-        Zs = _order_curve(rs.big_z)
-        lam = 0.5 * np.log(Zs)
-        x = gap_quantum_numbers(rs.p) / rs.length
-        return x, lam
-
-    xA, lamA = curve(roots)
-    sA = _interp_curve(xA, lamA, xq)
-    if earlier is not None and earlier.p >= 2:
-        xB, lamB = curve(earlier)
-        sB = _interp_curve(xB, lamB, xq)
-        c = ((1.0 / target_length - 1.0 / roots.length)
-             / (1.0 / roots.length - 1.0 / earlier.length))
-        return np.exp(2.0 * (sA + c * (sA - sB)))
-    return np.exp(2.0 * sA)
+    The cubic roots solve every equation once beta^p prod_k Z_k = 1, i.e.
+    g(u) = p u + sum_k ln Z_k = 0 with Im g wrapped to (-pi, pi];
+    g'(u) = p - sum_k 1/(3 s_k - 2).
+    """
+    p = length // 3
+    u = np.log(complex(beta))
+    for _ in range(50):
+        s = _gap_s(np.exp(u), p)
+        g = p * u + np.log(s / (s - 1.0)).sum()
+        g = complex(g.real, np.angle(np.exp(1j * g.imag)))
+        du = g / (p - np.sum(1.0 / (3.0 * s - 2.0)))
+        u -= du
+        if abs(du) <= 1e-12:
+            return _gap_s(np.exp(u), p)
+    raise NewtonDivergenceError(
+        f"L={length}: no convergence in ln beta (last step {abs(du):.3e})")
 
 
-def _extrapolant_between(e_old, e_new, l_old, l_new):
-    return np.log(e_old.real / e_new.real) / np.log(l_old / l_new)
+def _solve_gap(length, beta):
+    """Gap-state root set at `length` from the scalar seed `beta`: cubic
+    roots, branch integers from their principal logarithms, then one
+    fixed-integer `_newton` polish of the nested system."""
+    s = _solve_gap_s(length, beta)
+    Z, Y, I, _, res = _newton(s / (s - 1.0), np.zeros(0, complex), length)
+    roots = BetheRootSet.from_big_z(length, Z, Y, I, residual_norm=res)
+    if energy_from_roots(roots).real <= 0:
+        raise NewtonDivergenceError(f"L={length}: state has nonpositive gap")
+    return roots
 
 
-def _solve_adaptive_checked(seed_z, target_length, prev_energy, prev_length,
-                            tol=SOLVER_TOL):
-    Y = np.zeros(0, complex)
-    Z, _, I, _, res = _newton(seed_z, Y, target_length, tol=tol)
-    rs = BetheRootSet.from_big_z(target_length, Z, Y, I, residual_norm=res)
-    e_new = energy_from_roots(rs)
-    if e_new.real <= 0:
-        raise NewtonDivergenceError("continued state has nonpositive gap")
-    ext = _extrapolant_between(prev_energy, e_new, prev_length, target_length)
-    if not -1.9 < ext < -1.3:
-        raise NewtonDivergenceError(
-            f"continued state off the gap branch (local exponent {ext:.3f})"
-        )
-    return rs
+def continue_in_L(roots, target_length):
+    """One step L -> L+3 along the gap branch (p -> p+1).
 
-
-def continue_in_L(roots, target_length, earlier=None, tol=SOLVER_TOL):
-    """One continuation step L -> L+3 along the gap branch (p -> p+1).
-
-    Seeds the larger system from the interpolated root curve (Richardson-
-    corrected when an earlier root set is given, else plain) and verifies
-    the continued state by its local gap exponent.  Falls back to a homotopy
-    in the (real-valued) size parameter when the direct solves stray; each
-    failed path is logged at DEBUG.
+    Seeds beta = exp(-mean_k ln Z_k) from the given root set (there
+    beta^p prod_k Z_k = 1), solves at the target size and verifies the
+    continued state by its local gap exponent.
     """
     if target_length != roots.length + 3:
         raise ValueError("continuation proceeds in steps of 3")
-    prev_e = energy_from_roots(roots)
-    paths = [("plain", None)]
-    if earlier is not None:
-        paths.insert(0, ("Richardson", earlier))
-    for path, curve_before in paths:
-        try:
-            seed = _curve_seed(roots, target_length, curve_before)
-            return _solve_adaptive_checked(seed, target_length, prev_e,
-                                           roots.length, tol=tol)
-        except BetheError as exc:
-            logger.debug("L=%d: %s continuation failed: %s", target_length,
-                         path, exc)
-    # homotopy: walk the size parameter in unit steps at fixed root count
-    try:
-        z = _curve_seed(roots, target_length - 2, earlier)
-        for l_real in (target_length - 2, target_length - 1, target_length):
-            z = _newton(z, np.zeros(0, complex), l_real, tol=tol)[0]
-        return _solve_adaptive_checked(z, target_length, prev_e, roots.length,
-                                       tol=tol)
-    except BetheError as exc:
-        logger.debug("L=%d: homotopy continuation failed: %s", target_length,
-                     exc)
-        raise
+    beta = np.exp(-np.mean(np.log(roots.big_z)))
+    new = _solve_gap(target_length, beta)
+    ext = (np.log(energy_from_roots(roots).real / energy_from_roots(new).real)
+           / np.log(roots.length / target_length))
+    if not -1.9 < ext < -1.3:
+        raise NewtonDivergenceError(
+            f"L={target_length}: continued state off the gap branch "
+            f"(local exponent {ext:.3f})")
+    return new
 
 
-def solve_gap_chain(max_length, seed=0, tol=SOLVER_TOL):
+def solve_gap_chain(max_length):
     """Gap-branch root sets for every L in 6, 9, ..., max_length.
 
     A failing step raises its `BetheError` with the converged prefix
@@ -657,22 +637,18 @@ def solve_gap_chain(max_length, seed=0, tol=SOLVER_TOL):
         raise ValueError("max_length must be a multiple of 3, at least 6")
     chain = {}
     try:
-        chain[6] = solve_bethe(6, 2, 0, branch_integers=gap_branch_integers(2),
-                               seed=seed, tol=tol)
-        earlier = None
-        length = 6
-        while length < max_length:
-            nxt = continue_in_L(chain[length], length + 3, earlier=earlier,
-                                tol=tol)
-            earlier = chain[length]
-            length += 3
-            chain[length] = nxt
+        chain[6] = _solve_gap(6, GAP_BETA_SEED)
+        for length in range(9, max_length + 1, 3):
+            chain[length] = continue_in_L(chain[length - 3], length)
     except BetheError as exc:
         exc.chain = chain
         raise
     return chain
 
 
-def solve_gap_state(length, seed=0, tol=SOLVER_TOL):
-    """Root set of the slowest relaxation mode in the equal-density sector."""
-    return solve_gap_chain(length, seed=seed, tol=tol)[length]
+def solve_gap_state(length):
+    """Root set of the slowest relaxation mode in the equal-density sector,
+    solved directly from the branch-point seed beta = 4/27."""
+    if length < 6 or length % 3:
+        raise ValueError("length must be a multiple of 3, at least 6")
+    return _solve_gap(length, GAP_BETA_SEED)

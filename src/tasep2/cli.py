@@ -115,7 +115,7 @@ def cmd_bethe(args):
                                   second_integers=seed_roots.second_integers,
                                   seed_roots=seed_roots, seed=args.seed)
     else:
-        roots = bethe.solve_gap_state(args.length, seed=args.seed)
+        roots = bethe.solve_gap_state(args.length)
     out = _outdir(args)
     payload = roots.to_json_dict()
     emap = bethe.DEFAULT_ENERGY_MAP
@@ -143,8 +143,7 @@ def cmd_bethe(args):
 def cmd_scale(args):
     out = _outdir(args)
     try:
-        report = scaling.run_scaling_study(args.frm, args.to, omega=args.omega,
-                                           seed=args.seed)
+        report = scaling.run_scaling_study(args.frm, args.to, omega=args.omega)
     except bethe.BetheError as exc:
         # retain whatever prefix of the chain converged, then fail loudly
         sys.stderr.write(f"scaling study aborted: {exc}\n")

@@ -131,6 +131,7 @@ class RingConfiguration:
 class SectorGenerator:
     """Sparse generator block: sorted duplicate-free COO triplets."""
 
+    length: int  # sites of the ring
     sector: Sector | None
     dimension: int
     rows: np.ndarray
@@ -250,8 +251,8 @@ def _assemble(length, packs, gamma_r, gamma_l, sector):
     del rows, cols
     rows, cols, vals = _sorted_coo(key, vals, n)
     return SectorGenerator(
-        sector=sector, dimension=n, rows=rows, cols=cols, vals=vals,
-        packs=packs,
+        length=length, sector=sector, dimension=n, rows=rows, cols=cols,
+        vals=vals, packs=packs,
     )
 
 
@@ -319,18 +320,7 @@ def orbit_table(length, packs):
 def translation_permutation(gen):
     """perm with perm[i] = index of the right-translated configuration i."""
     return np.searchsorted(gen.packs,
-                           translate_packed(gen.packs, ring_length(gen)))
-
-
-def ring_length(gen):
-    """Number of sites of the ring a sector or full-space generator acts on."""
-    if gen.sector is not None:
-        return gen.sector.length
-    # full space: dimension = 3**L
-    length = int(round(np.log(gen.dimension) / np.log(3)))
-    if 3 ** length != gen.dimension:
-        raise ValueError("cannot infer ring length from generator dimension")
-    return length
+                           translate_packed(gen.packs, gen.length))
 
 
 def momentum_blocks(gen, momenta):
@@ -345,7 +335,7 @@ def momentum_blocks(gen, momenta):
     """
     if gen.momentum is not None:
         raise ValueError("generator is already a momentum block")
-    length = ring_length(gen)
+    length = gen.length
     if any(not 0 <= k < length for k in momenta):
         raise ValueError("momentum out of range")
     packs = gen.packs
@@ -372,6 +362,7 @@ def momentum_blocks(gen, momenta):
             index[dst_rep[sel]] * len(rep_rows) + index[src[sel]],
             vals[sel] * phases[dst_shift[sel]], len(rep_rows))
         blocks.append(SectorGenerator(
+            length=length,
             sector=None if sec is None else Sector(sec.length, sec.n_a,
                                                    sec.n_b, momentum=k),
             dimension=len(rep_rows), rows=rows, cols=cols, vals=block_vals,

@@ -152,18 +152,16 @@ def bst_scan(values, omegas=OMEGA_SCAN):
     return best
 
 
-def run_scaling_study(l_min=6, l_max=33, step=3, omega=None, seed=0):
+def run_scaling_study(l_min=6, l_max=33, omega=None):
     """Full pipeline: Bethe gap chain, local exponents, BST extrapolation.
 
     `l_min`..`l_max` label the local exponents, so the gap chain extends to
     l_max + 3.  With omega None the scan picks the tableau with the smallest
     error estimate.  Returns series, extrapolants, tableau, and z_estimate.
     """
-    if step != 3:
-        raise ValueError("sector structure fixes the size step to 3")
     if l_min % 3 or l_max % 3 or not 6 <= l_min <= l_max:
         raise ValueError("need multiples of 3 with 6 <= l_min <= l_max")
-    chain = bethe.solve_gap_chain(l_max + 3, seed=seed)
+    chain = bethe.solve_gap_chain(l_max + 3)
     gaps = []
     energies = {}
     for l in range(l_min, l_max + 4, 3):

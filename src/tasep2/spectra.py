@@ -27,7 +27,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lattice import momentum_blocks, ring_length
+from .lattice import momentum_blocks
 
 ZERO_TOL = 1e-10
 DENSE_LIMIT = 4000
@@ -98,7 +98,7 @@ def _solve_blocks(gen, solve):
     generator that is already a momentum block is solved as it is."""
     if gen.momentum is not None:
         return solve(gen)
-    length = ring_length(gen)
+    length = gen.length
     half = range(length // 2 + 1)
     parts = []
     for k, blk in zip(half, momentum_blocks(gen, half)):

@@ -76,29 +76,6 @@ class RMatrix:
         return np.transpose(self.tensor, (0, 1, 3, 2)).reshape(9, 9)
 
 
-@dataclass
-class NestedWeights:
-    """Coefficients of the second-level (six-vertex) commutation algebra."""
-
-    theta: complex
-
-    def coefficients(self):
-        th = self.theta
-        return {
-            (1, 1, 1, 1): 1.0,
-            (1, 2, 1, 2): 1.0,
-            (2, 1, 1, 2): 2.0 * np.sinh(th) * np.exp(-th),
-            (2, 1, 2, 1): np.exp(-2.0 * th),
-            (2, 2, 2, 2): 1.0,
-        }
-
-    def g(self, theta=None):
-        return fun_g(self.theta if theta is None else theta)
-
-    def h(self, theta=None):
-        return fun_h(self.theta if theta is None else theta)
-
-
 _SWAP23 = None
 
 
@@ -142,9 +119,6 @@ class TransferMatrix:
         """tau(theta) = sum_i T_ii as a sparse matrix."""
         return (self.monodromy[0, 0] + self.monodromy[1, 1]
                 + self.monodromy[2, 2]).tocsr()
-
-    def block(self, a, b):
-        return self.monodromy[a, b].tocsr()
 
 
 def build_transfer_matrix(length, theta):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tasep2 import (
+    BetheError,
     BetheRootSet,
     Sector,
     bethe_residual,
@@ -290,23 +291,22 @@ def test_newton_accepts_at_roundoff_floor_and_logs(gap6, caplog):
     assert "roundoff floor" in caplog.text
 
 
-def test_swallowed_continuation_failure_is_logged(gap_chain_36, monkeypatch,
-                                                  caplog):
-    real = bethe._solve_adaptive_checked
-    calls = []
+def test_chain_step_failure_raises_with_prefix(gap_chain_36, monkeypatch):
+    """A failure inside a chain step is not swallowed: it leaves
+    `solve_gap_chain` as a `BetheError` carrying the converged prefix."""
+    real = bethe._solve_gap_s
 
-    def fail_first(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 1:
+    def fail_at_15(length, beta):
+        if length == 15:
             raise NewtonDivergenceError("forced failure")
-        return real(*args, **kwargs)
+        return real(length, beta)
 
-    monkeypatch.setattr(bethe, "_solve_adaptive_checked", fail_first)
-    with caplog.at_level(logging.DEBUG, logger="tasep2.bethe"):
-        got = continue_in_L(gap_chain_36[9], 12, earlier=gap_chain_36[6])
-    assert len(calls) == 2
-    assert "L=12: Richardson continuation failed: forced failure" in caplog.text
-    np.testing.assert_allclose(got.big_z, gap_chain_36[12].big_z, atol=1e-12)
+    monkeypatch.setattr(bethe, "_solve_gap_s", fail_at_15)
+    with pytest.raises(BetheError, match="forced failure") as info:
+        solve_gap_chain(33)
+    assert sorted(info.value.chain) == [6, 9, 12]
+    for length, roots in info.value.chain.items():
+        np.testing.assert_array_equal(roots.big_z, gap_chain_36[length].big_z)
 
 
 def test_continuation_l9_matches_ed(gap_chain_36, spectrum_l9_equal):
@@ -349,13 +349,39 @@ def test_counting_values_near_half_integers_along_chain(gap_chain_36):
 
 
 def test_continuation_prediction_accuracy(gap_chain_36):
-    """L=36 roots stay close to the curve continued from L=33 (and 30)."""
-    from tasep2.bethe import _curve_seed
-    seed = _curve_seed(gap_chain_36[33], 36, earlier=gap_chain_36[30])
-    lam_seed = np.sort_complex(0.5 * np.log(seed))
-    lam_true = np.sort_complex(gap_chain_36[36].lam)
-    dev = np.max(np.abs(np.abs(lam_seed) - np.abs(lam_true)))
-    assert dev < 0.01
+    """The unpolished cubic roots at L=36, from the beta of L=33, lie on
+    the polished ones."""
+    beta = np.exp(-np.mean(np.log(gap_chain_36[33].big_z)))
+    s = bethe._solve_gap_s(36, beta)
+    lam_cubic = 0.5 * np.log(s / (s - 1.0))
+    assert oracles.multiset_distance(lam_cubic, gap_chain_36[36].lam) < 0.01
+
+
+def test_decoupled_energy_matches_nested(gap_chain_360):
+    """p - sum s_k at the unpolished cubic roots, solved from beta = 4/27,
+    is the polished nested energy for every L <= 330."""
+    for length in range(6, 331, 3):
+        s = bethe._solve_gap_s(length, bethe.GAP_BETA_SEED)
+        e = energy_from_roots(gap_chain_360[length])
+        assert abs(length // 3 - s.sum() - e) <= 1e-12, length
+
+
+def test_direct_gap_state_matches_chain(gap_chain_360):
+    direct = solve_gap_state(360)
+    chained = gap_chain_360[360]
+    np.testing.assert_array_equal(direct.branch_integers,
+                                  chained.branch_integers)
+    assert abs(energy_from_roots(direct)
+               - energy_from_roots(chained)) <= 1e-12
+
+
+def test_gap_state_needs_no_chain(monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("solve_gap_state walked the chain")
+
+    monkeypatch.setattr(bethe, "continue_in_L", no_step)
+    roots = solve_gap_state(30)
+    assert roots.p == 10 and roots.residual_norm <= SOLVER_TOL
 
 
 def test_chain_extends_well_beyond_table(gap_chain_36):

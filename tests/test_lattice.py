@@ -164,6 +164,15 @@ def test_momentum_blocks_partition_dimension():
         project_momentum(project_momentum(gen, 1), 1)
 
 
+def test_full_space_blocks_carry_ring_length():
+    """Momentum blocks of the full space keep L, which their dimensions (3
+    at L=2 k=1, 11 at L=3 k=0) do not determine."""
+    for length, k, dim in ((2, 1, 3), (3, 0, 11)):
+        gen = build_hamiltonian_tasep(length)
+        blk = project_momentum(gen, k)
+        assert (gen.length, blk.length, blk.dimension) == (length, length, dim)
+
+
 def test_momentum_union_recovers_sector_spectrum():
     for length, n_a, n_b in ((5, 2, 1), (6, 2, 2), (7, 2, 2)):
         gen = build_hamiltonian_tasep(length, Sector(length, n_a, n_b))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from tasep2 import (
-    NestedWeights,
     RMatrix,
     build_hamiltonian_tasep,
     build_transfer_matrix,
@@ -89,17 +88,6 @@ def test_yang_baxter_detects_perturbation():
     assert resid > 1e-4
 
 
-def test_nested_weights():
-    th = 0.83 + 0.12j
-    w = NestedWeights(th)
-    coeff = w.coefficients()
-    assert coeff[(1, 1, 1, 1)] == 1.0
-    assert coeff[(1, 2, 1, 2)] == 1.0
-    assert coeff[(2, 1, 1, 2)] == pytest.approx(2 * np.sinh(th) * np.exp(-th))
-    assert coeff[(2, 1, 2, 1)] == pytest.approx(np.exp(-2 * th))
-    assert coeff[(2, 2, 2, 2)] == 1.0
-
-
 def test_g_times_h_is_one():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -114,17 +102,18 @@ def test_reference_state_action():
     omega[0] = 1.0  # all-A product state
     aL = weight_a(th) ** length
     cL = weight_c(th) ** length
-    np.testing.assert_allclose(tm.block(0, 0) @ omega, aL * omega, atol=1e-12)
-    np.testing.assert_allclose(tm.block(1, 1) @ omega, cL * omega, atol=1e-12)
-    np.testing.assert_allclose(tm.block(2, 2) @ omega, cL * omega, atol=1e-12)
+    T = tm.monodromy
+    np.testing.assert_allclose(T[0, 0].tocsr() @ omega, aL * omega, atol=1e-12)
+    np.testing.assert_allclose(T[1, 1].tocsr() @ omega, cL * omega, atol=1e-12)
+    np.testing.assert_allclose(T[2, 2].tocsr() @ omega, cL * omega, atol=1e-12)
     # annihilation of the C operators and off-diagonal D block
-    np.testing.assert_allclose(tm.block(0, 1) @ omega, 0, atol=1e-14)
-    np.testing.assert_allclose(tm.block(0, 2) @ omega, 0, atol=1e-14)
-    np.testing.assert_allclose(tm.block(1, 2) @ omega, 0, atol=1e-14)
-    np.testing.assert_allclose(tm.block(2, 1) @ omega, 0, atol=1e-14)
+    np.testing.assert_allclose(T[0, 1].tocsr() @ omega, 0, atol=1e-14)
+    np.testing.assert_allclose(T[0, 2].tocsr() @ omega, 0, atol=1e-14)
+    np.testing.assert_allclose(T[1, 2].tocsr() @ omega, 0, atol=1e-14)
+    np.testing.assert_allclose(T[2, 1].tocsr() @ omega, 0, atol=1e-14)
     # the creation operators act nontrivially
-    assert np.linalg.norm(tm.block(1, 0) @ omega) > 1e-8
-    assert np.linalg.norm(tm.block(2, 0) @ omega) > 1e-8
+    assert np.linalg.norm(T[1, 0].tocsr() @ omega) > 1e-8
+    assert np.linalg.norm(T[2, 0].tocsr() @ omega) > 1e-8
 
 
 def test_transfer_matrices_commute():
