@@ -19,7 +19,6 @@ from .lattice import (
 )
 from .spectra import ConvergenceError, SpectrumResult, dense_spectrum, krylov_gap
 from .yangbaxter import (
-    RMatrix,
     TransferMatrix,
     build_transfer_matrix,
     check_yang_baxter,
@@ -59,7 +58,6 @@ __all__ = [
     "DiffusionRates",
     "EnergyMap",
     "GapSeries",
-    "RMatrix",
     "RingConfiguration",
     "Sector",
     "SectorGenerator",

@@ -17,6 +17,16 @@ and the analogous second line with integers J_j.  One damped Newton core
 integers; given none, it takes them from the principal logarithms at its
 start point: one principal-log residual F0 gives I = round(Im F0 / 2 pi).
 
+An A particle treats B particles and vacancies alike (A0 -> 0A, AB -> BA),
+so the A positions alone form a one-species TASEP; AB -> BA leaves the
+occupancy unchanged, so the occupied sites (A or B) form one too.  Both are
+exact lumpings (the projection property; Ferrari & Martin, Ann. Probab. 35,
+807 (2007)): every eigenvalue of the sectors (L, L/3, 0) and (L, 2L/3, 0)
+is one of (L, L/3, L/3).  Their Bethe states are the r = 0 states, whose
+equations are those of the one-species TASEP; the gap state is one of them.
+At L = 6 they are the C(6, 2) = 15 states labelled by the pairs of distinct
+integers from {-3..2}.
+
 The gap state (n_A = n_B = L/3, p = L/3, r = 0) has no second-level roots,
 so with s = Z/(Z-1) every root solves a cubic that shares one complex scalar
 beta with all the others (Gwa & Spohn, PRA 46, 844 (1992); Golinelli &
@@ -47,6 +57,7 @@ affine calibration; empirically E_gen = -e/2 (sign -1, scale 1/2, offset 0),
 verified against exact diagonalization at L = 6 and 9.
 """
 
+import itertools
 import json
 import logging
 from dataclasses import dataclass
@@ -92,16 +103,8 @@ class BetheRootSet:
     residual_norm: float = np.nan
 
     @property
-    def z(self):
-        return np.exp(self.lam)
-
-    @property
     def big_z(self):
         return np.exp(2.0 * self.lam)
-
-    @property
-    def y(self):
-        return np.exp(self.Lam)
 
     @property
     def big_y(self):
@@ -353,8 +356,8 @@ def _multistart_seeds(p, r, seed):
     return seeds
 
 
-def solve_bethe(length, p, r=0, branch_integers=None, second_integers=None,
-                seed_roots=None, seed=0, tol=SOLVER_TOL):
+def solve_bethe(length, p, r=0, *, branch_integers, second_integers=None,
+                seed_roots=None, seed=0):
     """Solve the nested system for given branch integers.
 
     Deterministic in (branch_integers, seed).  Without seed_roots a seeded
@@ -362,8 +365,6 @@ def solve_bethe(length, p, r=0, branch_integers=None, second_integers=None,
     """
     if p < 1:
         raise ValueError("need at least one first-level root")
-    if branch_integers is None:
-        raise ValueError("branch integers are required")
     I = np.asarray(branch_integers, dtype=int)
     J = np.asarray(second_integers if second_integers is not None else [],
                    dtype=int)
@@ -381,7 +382,7 @@ def solve_bethe(length, p, r=0, branch_integers=None, second_integers=None,
     last_exc = None
     for Z0, Y0 in attempts:
         try:
-            Z, Y, _, _, res = _newton(Z0, Y0, length, I, J, tol=tol)
+            Z, Y, _, _, res = _newton(Z0, Y0, length, I, J)
         except BetheError as exc:
             last_exc = exc
             continue
@@ -433,26 +434,19 @@ class EnergyMap:
 DEFAULT_ENERGY_MAP = EnergyMap(sign=-1, scale=0.5, offset=0.0, calibrated_at=6)
 
 
-def energy_from_roots(roots, energy_map=DEFAULT_ENERGY_MAP):
+def energy_from_roots(roots):
     """Generator eigenvalue of a converged root set."""
-    return energy_map.apply(roots)
+    return DEFAULT_ENERGY_MAP.apply(roots)
 
 
-def _candidate_integer_pairs(window):
-    out = []
-    for a in range(-window, window + 1):
-        for b in range(a + 1, window + 1):
-            out.append((a, b))
-    return out
-
-
-def calibrate_energy_map(length, match_tol=1e-9, window=3, seed=0):
+def calibrate_energy_map(length, seed=0):
     """Fix (sign, scale, offset) by matching Bethe states to exact spectra.
 
-    Solves the p = length/3, r = 0 system over a window of integer pairs plus
+    Solves the p = length/3, r = 0 system for a set of branch integers plus
     the trivial p = 0 state, then tests the finite menu sign in {+1, -1},
     scale in {1, 1/2} against the equal-density sector spectrum.  Exactly one
-    assignment may survive; anything else raises.
+    assignment may survive; anything else raises.  At L = 6 the integer
+    pairs drawn from {-3..2} label the 15 r = 0 states (module docstring).
     """
     if length not in (6, 9):
         raise ValueError("calibration needs length 6 or 9 (dense spectra)")
@@ -462,14 +456,11 @@ def calibrate_energy_map(length, match_tol=1e-9, window=3, seed=0):
     evs = spec.eigenvalues
 
     reduced = [complex(0.0)]  # p = 0 reference state, e = E_raw - L - 0 = 0
-    states = 0
     if p == 2:
-        pairs = _candidate_integer_pairs(window)
+        pairs = itertools.combinations(range(-3, 3), 2)
     else:
         pairs = [(-2, -1, 1), (-3, -1, 0), (-2, 0, 1), (-1, 0, 1)]
     for I in pairs:
-        if len(I) != p:
-            continue
         try:
             roots = solve_bethe(length, p, 0, branch_integers=I, seed=seed)
         except BetheError:
@@ -477,8 +468,7 @@ def calibrate_energy_map(length, match_tol=1e-9, window=3, seed=0):
         e = energy_raw(roots) - length - 2.0 * p
         if all(abs(e - x) > 1e-8 for x in reduced):
             reduced.append(e)
-            states += 1
-    if states < 2:
+    if len(reduced) < 3:
         raise BetheError("calibration found fewer than two Bethe states")
 
     survivors = []
@@ -487,7 +477,7 @@ def calibrate_energy_map(length, match_tol=1e-9, window=3, seed=0):
             # offset from the p = 0 state (steady state, eigenvalue 0)
             offset = 0.0
             mapped = [sign * scale * e + offset for e in reduced]
-            if all(np.min(np.abs(evs - m)) <= match_tol for m in mapped):
+            if all(np.min(np.abs(evs - m)) <= 1e-9 for m in mapped):
                 survivors.append(EnergyMap(sign, scale, offset, length))
     if not survivors:
         raise BetheError("no (sign, scale, offset) maps Bethe energies onto "
@@ -512,12 +502,12 @@ def counting_values(roots):
     return -1j * (np.log(Z / (Z - 1.0)) + s / L)
 
 
-def counting_check(roots, tol=1e-10):
+def counting_check(roots):
     """Quantized counting-function values at the roots.
 
     Returns a list of (j, nearest_quantum_number, residual); quantum numbers
-    are integers for odd p and half-integers for even p.  Residuals above
-    `tol` flag a branch-cut crossing.  For each entry the nearest value is
+    are integers for odd p and half-integers for even p.  A residual far
+    from zero flags a branch-cut crossing.  For each entry the nearest value is
     exact up to per-root integer branch shifts of the principal-log sum
     (those leave the residual near zero but can break monotonicity at large
     p).

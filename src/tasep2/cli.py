@@ -1,7 +1,9 @@
 """Command-line interface: diag / bethe / scale / check subcommands.
 
-Every command honors --seed, --output-dir (default from TASEP2_OUTPUT_DIR),
-and refuses to overwrite existing files unless --force is given.  A config
+Every command accepts --seed and --output-dir (default from
+TASEP2_OUTPUT_DIR), and refuses to overwrite existing files unless --force
+is given.  `scale` and `bethe --length` without `--integers` are
+deterministic and accept --seed only because every subcommand does.  A config
 file of key=value lines mirroring the long flags can seed the defaults.
 Exit codes: 0 success, 2 domain error, 3 numerical failure, 4 I/O error.
 """
@@ -118,8 +120,7 @@ def cmd_bethe(args):
         roots = bethe.solve_gap_state(args.length)
     out = _outdir(args)
     payload = roots.to_json_dict()
-    emap = bethe.DEFAULT_ENERGY_MAP
-    energy = bethe.energy_from_roots(roots, emap)
+    energy = bethe.energy_from_roots(roots)
     payload["energy"] = [_fmt(energy.real), _fmt(energy.imag)]
     big_z = roots.big_z
     payload["band"] = {
@@ -148,13 +149,11 @@ def cmd_scale(args):
         # retain whatever prefix of the chain converged, then fail loudly
         sys.stderr.write(f"scaling study aborted: {exc}\n")
         chain = exc.chain or {}
+        series = scaling.GapSeries(
+            [(l, bethe.energy_from_roots(chain[l]).real)
+             for l in range(args.frm, args.to + 4, 3) if l in chain])
         with _open_out(out / "gap_series.csv", args.force) as f:
-            f.write("L,gap_re\n")
-            for l in range(args.frm, args.to + 4, 3):
-                if l not in chain:
-                    break
-                g = bethe.energy_from_roots(chain[l]).real
-                f.write(f"{l},{g:.17g}\n")
+            series.write_csv(f)
         return EXIT_NUMERICAL
     with _open_out(out / "gap_series.csv", args.force) as f:
         report["series"].write_csv(f)

@@ -40,7 +40,7 @@ def _multinomial(length, n_a, n_b):
 
 @dataclass(frozen=True)
 class DiffusionRates:
-    """Hop rates; q and d are defined only for gamma_left > 0."""
+    """Right and left hop rates."""
 
     gamma_right: float
     gamma_left: float
@@ -50,18 +50,6 @@ class DiffusionRates:
             raise ValueError("hop rates must be nonnegative")
         if self.gamma_right == 0 and self.gamma_left == 0:
             raise ValueError("at least one hop rate must be positive")
-
-    @property
-    def q(self):
-        if self.gamma_left <= 0:
-            raise ValueError("q = sqrt(gamma_right/gamma_left) needs gamma_left > 0")
-        return np.sqrt(self.gamma_right / self.gamma_left)
-
-    @property
-    def d(self):
-        if self.gamma_left <= 0:
-            raise ValueError("d = sqrt(gamma_right*gamma_left) needs gamma_left > 0")
-        return np.sqrt(self.gamma_right * self.gamma_left)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ class GapSeries:
     """Ordered (L, Re gap) pairs for the first excited state."""
 
     entries: list
-    source: str = "bethe"
 
     def __post_init__(self):
         ls = [l for l, _ in self.entries]
@@ -45,14 +44,6 @@ class GapSeries:
             raise ValueError("gaps must be positive")
         if any(b >= a for a, b in zip(gaps, gaps[1:])):
             raise ValueError("gaps must decrease with size")
-
-    @property
-    def sizes(self):
-        return [l for l, _ in self.entries]
-
-    @property
-    def gaps(self):
-        return [g for _, g in self.entries]
 
     def write_csv(self, stream):
         stream.write("L,gap_re\n")
@@ -77,15 +68,10 @@ def local_exponent(series):
 @dataclass
 class BstTableau:
     omega: float
-    sizes: list
     table: list = field(repr=False)  # table[k] = column k, length n - k
     limit: float = np.nan
     error_estimate: float = np.nan
     truncated: bool = False
-
-    @property
-    def columns(self):
-        return len(self.table)
 
 
 def bst_extrapolate(values, omega):
@@ -138,14 +124,15 @@ def bst_extrapolate(values, omega):
         error = 2.0 * abs(table[-1][0] - neighbor)
     else:
         error = np.inf
-    return BstTableau(omega=omega, sizes=sizes.tolist(), table=table,
-                      limit=limit, error_estimate=error, truncated=truncated)
+    return BstTableau(omega=omega, table=table, limit=limit,
+                      error_estimate=error, truncated=truncated)
 
 
-def bst_scan(values, omegas=OMEGA_SCAN):
-    """Tableau with the smallest error estimate over an omega scan."""
+def bst_scan(values):
+    """Tableau with the smallest error estimate over the omegas of
+    `OMEGA_SCAN`."""
     best = None
-    for omega in omegas:
+    for omega in OMEGA_SCAN:
         tab = bst_extrapolate(values, omega)
         if best is None or tab.error_estimate < best.error_estimate:
             best = tab
@@ -157,28 +144,21 @@ def run_scaling_study(l_min=6, l_max=33, omega=None):
 
     `l_min`..`l_max` label the local exponents, so the gap chain extends to
     l_max + 3.  With omega None the scan picks the tableau with the smallest
-    error estimate.  Returns series, extrapolants, tableau, and z_estimate.
+    error estimate.  Returns series, extrapolants, tableau, z_estimate and
+    error.
     """
     if l_min % 3 or l_max % 3 or not 6 <= l_min <= l_max:
         raise ValueError("need multiples of 3 with 6 <= l_min <= l_max")
     chain = bethe.solve_gap_chain(l_max + 3)
-    gaps = []
-    energies = {}
-    for l in range(l_min, l_max + 4, 3):
-        e = bethe.energy_from_roots(chain[l])
-        energies[l] = e
-        gaps.append((l, e.real))
-    series = GapSeries(entries=gaps, source="bethe")
+    series = GapSeries([(l, bethe.energy_from_roots(chain[l]).real)
+                        for l in range(l_min, l_max + 4, 3)])
     extrapolants = local_exponent(series)
     tableau = (bst_scan(extrapolants) if omega is None
                else bst_extrapolate(extrapolants, omega))
     return {
         "series": series,
-        "energies": energies,
-        "roots": chain,
         "extrapolants": extrapolants,
         "tableau": tableau,
         "z_estimate": -tableau.limit,
         "error": tableau.error_estimate,
-        "omega": tableau.omega,
     }

@@ -68,27 +68,27 @@ def _sorted_eigs(vals):
     return vals[order]
 
 
-def _pick_gap(vals, zero_tol):
-    pos = vals[vals.real > zero_tol]
+def _pick_gap(vals):
+    pos = vals[vals.real > ZERO_TOL]
     if len(pos) == 0:
         return None
     gmin = np.min(pos.real)
-    cands = pos[np.abs(pos.real - gmin) <= max(zero_tol, 1e-12 * max(gmin, 1.0))]
-    up = cands[cands.imag >= -zero_tol]
+    cands = pos[np.abs(pos.real - gmin) <= max(ZERO_TOL, 1e-12 * max(gmin, 1.0))]
+    up = cands[cands.imag >= -ZERO_TOL]
     pick = up[np.argmin(up.imag)] if len(up) else cands[np.argmax(cands.imag)]
-    if abs(pick.imag) <= zero_tol:
+    if abs(pick.imag) <= ZERO_TOL:
         pick = complex(pick.real, 0.0)
     return complex(pick)
 
 
-def _result(gen, vals, method, zero_tol):
+def _result(gen, vals, method):
     vals = _sorted_eigs(vals)
     return SpectrumResult(
         sector=gen.sector,
         eigenvalues=vals,
-        gap=_pick_gap(vals, zero_tol),
+        gap=_pick_gap(vals),
         method=method,
-        zero_count=int(np.sum(np.abs(vals) <= zero_tol)),
+        zero_count=int(np.sum(np.abs(vals) <= ZERO_TOL)),
     )
 
 
@@ -113,7 +113,7 @@ def _dense_eigvals(gen):
     return np.asarray(scipy.linalg.eigvals(gen.to_dense()), dtype=complex)
 
 
-def dense_spectrum(gen, zero_tol=ZERO_TOL, dense_limit=DENSE_LIMIT):
+def dense_spectrum(gen, dense_limit=DENSE_LIMIT):
     """Full spectrum by LAPACK, one momentum block at a time; refuses a
     block larger than `dense_limit` (k = 0, the largest, comes first)."""
     def solve(blk):
@@ -124,7 +124,7 @@ def dense_spectrum(gen, zero_tol=ZERO_TOL, dense_limit=DENSE_LIMIT):
             )
         return _dense_eigvals(blk)
 
-    return _result(gen, _solve_blocks(gen, solve), "dense", zero_tol)
+    return _result(gen, _solve_blocks(gen, solve), "dense")
 
 
 def _arnoldi(gen, k, sigma, tol, residual_tol, v0):
@@ -155,7 +155,7 @@ def _arnoldi(gen, k, sigma, tol, residual_tol, v0):
 
 
 def krylov_gap(gen, seed=0, n_eigs=8, sigma=1e-3, tol=1e-12,
-               residual_tol=1e-10, zero_tol=ZERO_TOL):
+               residual_tol=1e-10):
     """Gap and the min(n_eigs, dim - 2) eigenvalues nearest `sigma` by
     shift-inverted Arnoldi, one momentum block at a time.
 
@@ -181,4 +181,4 @@ def krylov_gap(gen, seed=0, n_eigs=8, sigma=1e-3, tol=1e-12,
 
     vals = _solve_blocks(gen, solve)
     vals = vals[np.argsort(np.abs(vals - sigma), kind="stable")[:k]]
-    return _result(gen, vals, "krylov", zero_tol)
+    return _result(gen, vals, "krylov")

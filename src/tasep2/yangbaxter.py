@@ -38,14 +38,6 @@ def weight_c(theta):
     return 2.0 * np.sinh(theta)
 
 
-def fun_g(theta):
-    return np.exp(theta) / (2.0 * np.sinh(theta))
-
-
-def fun_h(theta):
-    return 2.0 * np.exp(-theta) * np.sinh(theta)
-
-
 def r_tensor(theta):
     """Rank-4 element table T[m, k, i, l] = R^{mk}_{il}(theta)."""
     t = np.zeros((3, 3, 3, 3), dtype=complex)
@@ -62,18 +54,9 @@ def r_tensor(theta):
     return t
 
 
-@dataclass
-class RMatrix:
-    theta: complex
-    tensor: np.ndarray = field(repr=False)
-
-    @classmethod
-    def at(cls, theta):
-        return cls(theta=theta, tensor=r_tensor(theta))
-
-    def as_operator(self):
-        """9x9 operator |l,i> -> R^{mk}_{il}|m,k> (the YBE wiring)."""
-        return np.transpose(self.tensor, (0, 1, 3, 2)).reshape(9, 9)
+def _r_operator(theta):
+    """9x9 operator |l,i> -> R^{mk}_{il}|m,k> (the YBE wiring)."""
+    return np.transpose(r_tensor(theta), (0, 1, 3, 2)).reshape(9, 9)
 
 
 _SWAP23 = None
@@ -94,10 +77,10 @@ def _swap23():
 def check_yang_baxter(theta1, theta2, theta3):
     """Max-norm residual of the factorization equation at the given triple."""
     eye = np.eye(3)
-    r12 = np.kron(RMatrix.at(theta1 - theta2).as_operator(), eye)
-    r23 = np.kron(eye, RMatrix.at(theta2 - theta3).as_operator())
+    r12 = np.kron(_r_operator(theta1 - theta2), eye)
+    r23 = np.kron(eye, _r_operator(theta2 - theta3))
     P = _swap23()
-    r13 = P @ np.kron(RMatrix.at(theta1 - theta3).as_operator(), eye) @ P
+    r13 = P @ np.kron(_r_operator(theta1 - theta3), eye) @ P
     lhs = r12 @ r13 @ r23
     rhs = r23 @ r13 @ r12
     return float(np.max(np.abs(lhs - rhs)))
@@ -182,7 +165,7 @@ def hamiltonian_from_transfer(length, step=1e-4):
     return dtau @ inv0
 
 
-def transfer_hamiltonian_check(length, step=1e-4):
+def transfer_hamiltonian_check(length):
     """Compare d(log tau)/dtheta|_0 with the totally asymmetric generator.
 
     With K the logarithmic derivative, (length * Id - K) / 2 equals the
@@ -190,7 +173,7 @@ def transfer_hamiltonian_check(length, step=1e-4):
     length relative to the master-equation convention.  Returns the
     max-norm discrepancy together with that affine convention.
     """
-    K = hamiltonian_from_transfer(length, step=step)
+    K = hamiltonian_from_transfer(length)
     H = build_hamiltonian_tasep(length).to_dense()
     recovered = (length * np.eye(3 ** length) - K) / 2.0
     discrepancy = float(np.max(np.abs(recovered - H)))

@@ -160,6 +160,40 @@ def test_calibration_consistent_across_sizes():
     assert (m6.sign, m6.scale, m6.offset) == (-1, 0.5, 0.0)
 
 
+def test_calibration_solves_only_the_fifteen_l6_states(monkeypatch):
+    """At L = 6 the r = 0 states are the C(6, 2) = 15 states of the lumped
+    one-species TASEP; calibration solves exactly those and none fails."""
+    real = bethe.solve_bethe
+    calls, failures = [], []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["branch_integers"])
+        try:
+            return real(*args, **kwargs)
+        except BetheError as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(bethe, "solve_bethe", counted)
+    m = calibrate_energy_map(6)
+    assert (m.sign, m.scale, m.offset) == (-1, 0.5, 0.0)
+    assert len(calls) == 15
+    assert failures == []
+
+
+def test_lumped_sectors_hold_the_bethe_gap():
+    """The A positions alone, and the occupied sites alone, form one-species
+    TASEPs (the sectors (L, L/3, 0) and (L, 2L/3, 0)); the k = 1 blocks of
+    both reproduce the Bethe gap up to conjugation at L = 15 and 18."""
+    for length in (15, 18):
+        want = energy_from_roots(solve_gap_state(length))
+        for n in (length // 3, 2 * length // 3):
+            gen = build_hamiltonian_tasep(length, Sector(length, n, 0))
+            got = krylov_gap(project_momentum(gen, 1), seed=0).gap
+            off = min(abs(got - want), abs(got - np.conj(want)))
+            assert off <= 1e-9, (length, n)
+
+
 def test_bethe_matches_ed_l6(gap6, spectrum_l6_equal):
     e = energy_from_roots(gap6)
     assert abs(e.real - spectrum_l6_equal.gap.real) <= 1e-9

@@ -5,18 +5,15 @@ import numpy as np
 import pytest
 
 from tasep2 import (
-    RMatrix,
     build_hamiltonian_tasep,
     build_transfer_matrix,
     check_yang_baxter,
     hamiltonian_from_transfer,
     transfer_hamiltonian_check,
 )
+from tasep2 import yangbaxter
 from tasep2.yangbaxter import (
     _invert_tau0,
-    _swap23,
-    fun_g,
-    fun_h,
     r_tensor,
     transfer_trace,
     weight_a,
@@ -69,30 +66,18 @@ def test_yang_baxter_radius_two():
     assert worst <= 1e-12
 
 
-def test_yang_baxter_detects_perturbation():
-    # same contraction as check_yang_baxter but with one corrupted entry
+def test_yang_baxter_detects_perturbation(monkeypatch):
+    """`check_yang_baxter` itself flags an R-matrix with one corrupted entry."""
     th = (0.31 + 0.11j, -0.42 + 0.05j, 0.2 - 0.3j)
-    eye = np.eye(3)
-    P = _swap23()
 
-    def op(theta, corrupt):
+    def corrupted(theta):
         t = r_tensor(theta)
-        if corrupt:
-            t[0, 1, 0, 1] += 1e-3
-        return np.transpose(t, (0, 1, 3, 2)).reshape(9, 9)
+        t[0, 1, 0, 1] += 1e-3
+        return t
 
-    r12 = np.kron(op(th[0] - th[1], True), eye)
-    r23 = np.kron(eye, op(th[1] - th[2], False))
-    r13 = P @ np.kron(op(th[0] - th[2], False), eye) @ P
-    resid = np.max(np.abs(r12 @ r13 @ r23 - r23 @ r13 @ r12))
-    assert resid > 1e-4
-
-
-def test_g_times_h_is_one():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        th = rng.uniform(-1.5, 1.5) + 1j * rng.uniform(-1.5, 1.5)
-        assert abs(fun_g(th) * fun_h(th) - 1.0) <= 1e-14
+    assert check_yang_baxter(*th) <= 1e-12
+    monkeypatch.setattr(yangbaxter, "r_tensor", corrupted)
+    assert check_yang_baxter(*th) > 1e-4
 
 
 def test_reference_state_action():
