@@ -7,14 +7,10 @@ exponent z = 3/2 from the gap series.
 """
 
 from .lattice import (
-    DiffusionRates,
-    RingConfiguration,
     Sector,
     SectorGenerator,
     all_sectors,
-    build_hamiltonian_general,
     build_hamiltonian_tasep,
-    enumerate_sector,
     project_momentum,
 )
 from .spectra import ConvergenceError, SpectrumResult, dense_spectrum, krylov_gap
@@ -55,10 +51,8 @@ __all__ = [
     "BetheRootSet",
     "BstTableau",
     "ConvergenceError",
-    "DiffusionRates",
     "EnergyMap",
     "GapSeries",
-    "RingConfiguration",
     "Sector",
     "SectorGenerator",
     "SpectrumResult",
@@ -67,7 +61,6 @@ __all__ = [
     "bethe_residual",
     "bst_extrapolate",
     "bst_scan",
-    "build_hamiltonian_general",
     "build_hamiltonian_tasep",
     "build_transfer_matrix",
     "calibrate_energy_map",
@@ -77,7 +70,6 @@ __all__ = [
     "dense_spectrum",
     "energy_from_roots",
     "energy_raw",
-    "enumerate_sector",
     "hamiltonian_from_transfer",
     "krylov_gap",
     "local_exponent",

@@ -4,7 +4,8 @@ Every command accepts --seed and --output-dir (default from
 TASEP2_OUTPUT_DIR), and refuses to overwrite existing files unless --force
 is given.  `scale` and `bethe --length` without `--integers` are
 deterministic and accept --seed only because every subcommand does.  A config
-file of key=value lines mirroring the long flags can seed the defaults.
+file of key=value lines mirroring the long flags (list values separated by
+spaces, as in `integers=-1 0`) can seed the defaults.
 Exit codes: 0 success, 2 domain error, 3 numerical failure, 4 I/O error.
 """
 
@@ -288,9 +289,13 @@ def main(argv=None):
                     coerced[key] = int(val)
                 except ValueError:
                     coerced[key] = val
-        parser.set_defaults(**coerced)
-        for sub_parser in parser._command_parsers.values():
+        for sub_parser in (parser, *parser._command_parsers.values()):
             sub_parser.set_defaults(**coerced)
+            # argparse would convert a list option's string default whole
+            sub_parser.set_defaults(**{
+                a.dest: [a.type(v) for v in defaults[a.dest].split()]
+                for a in sub_parser._actions
+                if a.nargs == "+" and a.dest in defaults})
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -2,16 +2,14 @@
 
 The two-species totally asymmetric exclusion process on Z/LZ has local states
 A (first class), B (second class) and vacancy 0, encoded as base-3 digits
-A=0 < B=1 < 0=2.  With right rate Gamma_R and left rate Gamma_L the allowed
-exchanges of a bond (j, j+1) holding the ordered pair (g, d) are
+A=0 < B=1 < 0=2.  Particles hop to the right at unit rate: a bond (j, j+1)
+holding the ordered pair (g, d) with g < d exchanges it,
 
-    g < d : (g, d) -> (d, g) at Gamma_R      (A0->0A, B0->0B, AB->BA)
-    g > d : (g, d) -> (d, g) at Gamma_L
+    (g, d) -> (d, g) at rate 1      (A0->0A, B0->0B, AB->BA)
 
-The master equation dp/dt = -H p fixes the matrix convention used throughout:
-H[c', c] = -rate(c -> c') off the diagonal, H[c, c] = total escape rate, so
-every column sums to zero and the totally asymmetric diagonal counts the
-allowed moves out of a configuration.
+and a pair with g > d is blocked.  The master equation dp/dt = -H p fixes
+the matrix convention used throughout: H[c', c] = -1 for every move c -> c'
+and H[c, c] = the number of moves out of c, so every column sums to zero.
 
 Configurations of the L-site ring are packed base-3 integers with site 0 in
 the most significant trit, so ascending packed order is lexicographic in the
@@ -29,27 +27,12 @@ import scipy.sparse as sp
 SPECIES_A = 0
 SPECIES_B = 1
 VACANCY = 2
-SPECIES_CHARS = "AB0"
 
 
 def _multinomial(length, n_a, n_b):
     return factorial(length) // (
         factorial(n_a) * factorial(n_b) * factorial(length - n_a - n_b)
     )
-
-
-@dataclass(frozen=True)
-class DiffusionRates:
-    """Right and left hop rates."""
-
-    gamma_right: float
-    gamma_left: float
-
-    def __post_init__(self):
-        if self.gamma_right < 0 or self.gamma_left < 0:
-            raise ValueError("hop rates must be nonnegative")
-        if self.gamma_right == 0 and self.gamma_left == 0:
-            raise ValueError("at least one hop rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -80,44 +63,11 @@ class Sector:
         return _multinomial(self.length, self.n_a, self.n_b)
 
 
-@dataclass(frozen=True)
-class RingConfiguration:
-    """Occupation state of the ring; round-trips with its base-3 packed code."""
-
-    sites: tuple
-
-    def __post_init__(self):
-        if not self.sites:
-            raise ValueError("empty configuration")
-        if any(s not in (SPECIES_A, SPECIES_B, VACANCY) for s in self.sites):
-            raise ValueError("site states must be in {0, 1, 2}")
-
-    @classmethod
-    def from_packed(cls, packed, length):
-        sites = []
-        for _ in range(length):
-            sites.append(packed % 3)
-            packed //= 3
-        return cls(tuple(reversed(sites)))
-
-    @property
-    def packed_index(self):
-        length = len(self.sites)
-        return sum(s * 3 ** (length - 1 - j) for j, s in enumerate(self.sites))
-
-    def translate(self, steps=1):
-        """Cyclic shift moving each site's content `steps` places to the right."""
-        length = len(self.sites)
-        steps %= length
-        return RingConfiguration(self.sites[-steps:] + self.sites[:-steps])
-
-    def __str__(self):
-        return "".join(SPECIES_CHARS[s] for s in self.sites)
-
-
 @dataclass
 class SectorGenerator:
-    """Sparse generator block: sorted duplicate-free COO triplets."""
+    """Sparse generator block: duplicate-free COO triplets with no zero
+    values, (row, col)-sorted in momentum blocks and in assembly order in
+    sector and full-space generators."""
 
     length: int  # sites of the ring
     sector: Sector | None
@@ -143,16 +93,20 @@ class SectorGenerator:
         return np.asarray(self.to_csr().sum(axis=0)).ravel()
 
     def export_coo(self, stream):
-        """One `row col re im` line per entry, 0-based, 17 significant digits."""
-        for r, c, v in zip(self.rows, self.cols, self.vals):
+        """One `row col re im` line per entry, (row, col)-sorted, 0-based,
+        17 significant digits."""
+        order = np.lexsort((self.cols, self.rows))
+        for r, c, v in zip(self.rows[order], self.cols[order],
+                           self.vals[order]):
             v = complex(v)
             stream.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
 
 
 def _sorted_coo(key, vals, dimension):
     """Deterministic (row, col)-sorted duplicate-free COO from the entry keys
-    row * dimension + col; rows and cols come back from the sorted keys, so
-    only the keys and values are ever permuted."""
+    row * dimension + col, summing duplicates and dropping zeros (orbit
+    folding in `momentum_blocks` makes both); rows and cols come back from
+    the sorted keys, so only the keys and values are ever permuted."""
     if len(key) == 0:
         return key, key.copy(), vals
     order = np.argsort(key, kind="stable")
@@ -190,57 +144,45 @@ def sector_packs(sector):
     return codes[(n_a, n_b)]
 
 
-def enumerate_sector(sector):
-    """Ordered list of configurations (ascending packed index)."""
-    return [
-        RingConfiguration.from_packed(int(x), sector.length)
-        for x in sector_packs(sector)
-    ]
+def assemble_moves(length, packs):
+    """COO data of the master-equation generator on the given sorted
+    configurations.
 
-
-def assemble_moves(length, packs, gamma_r, gamma_l):
-    """COO data of the master-equation generator on the given configurations.
-
-    Column convention: for every nearest-neighbour exchange c -> c' at rate
-    rho, entry (row=c', col=c) gets -rho and the diagonal (c, c) gets +rho.
-    Returns (rows, cols, vals) including diagonal entries, unsorted.
+    Column convention: every right exchange c -> c' puts -1 at (row=c',
+    col=c), and each configuration that can move gets its number of moves on
+    the diagonal.  Returns (rows, cols, vals) in assembly order; the (row,
+    col) pairs are unique and the values nonzero, since distinct bonds of one
+    configuration reach distinct targets (at L = 2 the two bonds join the
+    same sites, but only one of them holds g < d).
     """
     weight = 3 ** np.arange(length - 1, -1, -1, dtype=np.int64)  # of site j
     digits = np.empty((len(packs), length), dtype=np.int8)
     for j in range(length):
         digits[:, j] = packs // weight[j] % 3
     escape = np.zeros(len(packs))
-    rows, cols, vals = [], [], []
+    rows, cols = [], []
     for j in range(length):
         right = (j + 1) % length
         g, d = digits[:, j], digits[:, right]
-        for rate, moves in ((gamma_r, g < d), (gamma_l, g > d)):
-            if rate == 0.0:
-                continue
-            src = np.flatnonzero(moves)
-            step = (d[moves] - g[moves]) * (weight[j] - weight[right])
-            rows.append(np.searchsorted(packs, packs[src] + step))
-            cols.append(src)
-            vals.append(np.full(len(src), -rate))
-            escape += rate * moves
+        moves = g < d
+        src = np.flatnonzero(moves)
+        step = (d[src] - g[src]) * (weight[j] - weight[right])
+        rows.append(np.searchsorted(packs, packs[src] + step))
+        cols.append(src)
+        escape += moves
+    n_moves = sum(len(c) for c in cols)
     moving = np.flatnonzero(escape)
     rows.append(moving)
     cols.append(moving)
-    vals.append(escape[moving])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    vals = np.concatenate((np.full(n_moves, -1.0), escape[moving]))
+    return np.concatenate(rows), np.concatenate(cols), vals
 
 
-def _assemble(length, packs, gamma_r, gamma_l, sector):
-    packs = np.asarray(packs, dtype=np.int64)
-    rows, cols, vals = assemble_moves(length, packs, float(gamma_r),
-                                      float(gamma_l))
-    n = len(packs)
-    key = rows * n + cols
-    del rows, cols
-    rows, cols, vals = _sorted_coo(key, vals, n)
+def _assemble(length, packs, sector):
+    rows, cols, vals = assemble_moves(length, packs)
     return SectorGenerator(
-        length=length, sector=sector, dimension=n, rows=rows, cols=cols,
-        vals=vals, packs=packs,
+        length=length, sector=sector, dimension=len(packs), rows=rows,
+        cols=cols, vals=vals, packs=packs,
     )
 
 
@@ -248,34 +190,15 @@ def _full_space_packs(length):
     return np.arange(3 ** length, dtype=np.int64)
 
 
-def build_hamiltonian_general(length, rates, sector=None):
-    """Partially asymmetric generator; needs gamma_left > 0 (else use the
-    totally asymmetric builder)."""
-    if not isinstance(rates, DiffusionRates):
-        raise TypeError("rates must be DiffusionRates")
-    if rates.gamma_left <= 0:
-        raise ValueError(
-            "gamma_left = 0 is the totally asymmetric limit; "
-            "use build_hamiltonian_tasep"
-        )
-    if sector is None:
-        return _assemble(length, _full_space_packs(length), rates.gamma_right,
-                         rates.gamma_left, None)
-    if sector.length != length:
-        raise ValueError("sector length mismatch")
-    return _assemble(length, sector_packs(sector), rates.gamma_right,
-                     rates.gamma_left, sector)
-
-
 def build_hamiltonian_tasep(length, sector=None):
-    """Totally asymmetric generator (Gamma_R = 1, Gamma_L = 0)."""
+    """Generator of the whole ring or of one sector."""
     if length < 2:
         raise ValueError("need at least two sites")
     if sector is None:
-        return _assemble(length, _full_space_packs(length), 1.0, 0.0, None)
+        return _assemble(length, _full_space_packs(length), None)
     if sector.length != length:
         raise ValueError("sector length mismatch")
-    return _assemble(length, sector_packs(sector), 1.0, 0.0, sector)
+    return _assemble(length, sector_packs(sector), sector)
 
 
 def translate_packed(x, length):

@@ -40,22 +40,6 @@ def moves(config):
     return out
 
 
-def moves_general(config, gamma_r, gamma_l):
-    length = len(config)
-    out = []
-    for j in range(length):
-        jn = (j + 1) % length
-        g, d = config[j], config[jn]
-        if g == d:
-            continue
-        rate = gamma_r if g < d else gamma_l
-        if rate:
-            t = list(config)
-            t[j], t[jn] = d, g
-            out.append((tuple(t), rate))
-    return out
-
-
 def generator_matrix(states, move_fn):
     """Dense column-convention generator over an explicit state list."""
     index = {c: i for i, c in enumerate(states)}
@@ -69,13 +53,6 @@ def generator_matrix(states, move_fn):
 
 def sector_matrix(length, n_a, n_b):
     return generator_matrix(ring_states(length, n_a, n_b), moves)
-
-
-def sector_matrix_general(length, n_a, n_b, gamma_r, gamma_l):
-    return generator_matrix(
-        ring_states(length, n_a, n_b),
-        lambda c: moves_general(c, gamma_r, gamma_l),
-    )
 
 
 def multiset_distance(a, b):

@@ -241,6 +241,19 @@ def test_config_file_defaults(tmp_path):
     assert (tmp_path / "diag_L6_na2_nb2.json").exists()
 
 
+def test_config_file_list_values(tmp_path):
+    """A whitespace-separated list in a config file acts as the same list
+    given on the command line."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"integers=-1 0\noutput_dir={tmp_path / 'cfg'}\n")
+    assert run(["--config", str(cfg), "bethe", "--length", "6"]) == 0
+    assert run(["bethe", "--length", "6", "--integers", "-1", "0",
+                "--output-dir", str(tmp_path / "cli")]) == 0
+    got = json.loads((tmp_path / "cfg" / "roots_L6.json").read_text())
+    assert got == json.loads((tmp_path / "cli" / "roots_L6.json").read_text())
+    assert got["I"] == [0, -1]
+
+
 def test_env_var_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("TASEP2_OUTPUT_DIR", str(tmp_path))
     rc = run(["diag", "--length", "4", "--na", "1", "--nb", "1"])

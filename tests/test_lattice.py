@@ -7,14 +7,10 @@ import pytest
 import scipy.linalg
 
 from tasep2 import (
-    DiffusionRates,
-    RingConfiguration,
     Sector,
     all_sectors,
-    build_hamiltonian_general,
     build_hamiltonian_tasep,
     dense_spectrum,
-    enumerate_sector,
     project_momentum,
 )
 from tasep2.lattice import SPECIES_A, SPECIES_B, VACANCY, translation_permutation
@@ -26,20 +22,6 @@ def test_species_encoding_order():
     assert SPECIES_A == 0 and SPECIES_B == 1 and VACANCY == 2
 
 
-def test_ring_configuration_roundtrip():
-    cfg = RingConfiguration((0, 1, 2, 1))
-    assert RingConfiguration.from_packed(cfg.packed_index, 4) == cfg
-    assert cfg.translate(4) == cfg
-    assert str(cfg) == "AB0B"
-
-
-def test_diffusion_rates():
-    with pytest.raises(ValueError):
-        DiffusionRates(0.0, 0.0)
-    with pytest.raises(ValueError):
-        DiffusionRates(-1.0, 1.0)
-
-
 def test_sector_validation_and_dimension():
     assert Sector(2, 1, 1).dimension == 2
     assert Sector(3, 1, 1).dimension == 6
@@ -48,14 +30,6 @@ def test_sector_validation_and_dimension():
     assert Sector(9, 3, 3).dimension == 1680
     with pytest.raises(ValueError):
         Sector(3, 2, 2)
-
-
-def test_enumerate_sector_ordering():
-    cfgs = enumerate_sector(Sector(2, 1, 1))
-    assert [str(c) for c in cfgs] == ["AB", "BA"]
-    cfgs = enumerate_sector(Sector(6, 2, 2))
-    packs = [c.packed_index for c in cfgs]
-    assert packs == sorted(packs) and len(packs) == 90
 
 
 def test_tasep_matches_bruteforce_all_small_sectors():
@@ -71,7 +45,7 @@ def test_ab0_configuration_moves():
     # bond holds (0, A), which only the blocked left hop could move.
     sec = Sector(3, 1, 1)
     gen = build_hamiltonian_tasep(3, sec)
-    cfgs = enumerate_sector(sec)
+    cfgs = ["".join("AB0"[s] for s in c) for c in oracles.ring_states(3, 1, 1)]
     i = [str(c) for c in cfgs].index("AB0")
     mat = gen.to_dense()
     assert mat[i, i] == 2.0
@@ -87,41 +61,23 @@ def test_full_ring_of_one_species_is_frozen():
     np.testing.assert_allclose(gen.to_dense(), [[0.0]])
 
 
+def test_assembled_triplets_are_unique_and_nonzero():
+    """`to_dense` stores the assembled triplets as they are, so every sector
+    with L <= 8 and the full space with L <= 6 must come without repeated
+    (row, col) pairs or zero values."""
+    gens = [(length, sec) for length in range(2, 9) for sec in all_sectors(length)]
+    gens += [(length, None) for length in range(2, 7)]
+    for length, sec in gens:
+        gen = build_hamiltonian_tasep(length, sec)
+        keys = gen.rows * gen.dimension + gen.cols
+        assert len(np.unique(keys)) == len(keys), (length, sec)
+        assert np.all(gen.vals != 0), (length, sec)
+
+
 def test_column_sums_zero():
     for length in (2, 3, 4, 5, 6):
         gen = build_hamiltonian_tasep(length)
         assert np.max(np.abs(gen.column_sums())) <= 1e-12
-
-
-def test_general_hamiltonian_requires_left_rate():
-    with pytest.raises(ValueError):
-        build_hamiltonian_general(3, DiffusionRates(1.0, 0.0))
-
-
-def test_symmetric_rates_give_real_nonnegative_spectrum():
-    gen = build_hamiltonian_general(2, DiffusionRates(1.0, 1.0))
-    vals = dense_spectrum(gen).eigenvalues
-    assert np.max(np.abs(vals.imag)) < 1e-12
-    assert np.min(vals.real) > -1e-12
-
-
-def test_general_rates_sector_matches_bruteforce():
-    rates = DiffusionRates(1.0, 0.35)
-    for length, n_a, n_b in ((4, 1, 1), (5, 2, 1)):
-        sec = Sector(length, n_a, n_b)
-        got = build_hamiltonian_general(length, rates, sec).to_dense()
-        ref = oracles.sector_matrix_general(length, n_a, n_b, 1.0, 0.35)
-        np.testing.assert_allclose(got, ref, atol=1e-14)
-        assert np.max(np.abs(got.sum(axis=0))) <= 1e-12
-
-
-def test_tasep_is_limit_of_general():
-    eps = 1e-8
-    for length in (2, 3, 4, 5):
-        lim = build_hamiltonian_general(
-            length, DiffusionRates(1.0, eps)).to_dense()
-        tas = build_hamiltonian_tasep(length).to_dense()
-        assert np.max(np.abs(lim - tas)) <= 1e-6
 
 
 def test_particle_numbers_are_conserved_structurally():
@@ -191,15 +147,17 @@ def test_zero_momentum_block_has_steady_state():
 
 
 def test_coo_export_format():
-    gen = build_hamiltonian_tasep(2, Sector(2, 1, 1))
-    buf = io.StringIO()
-    gen.export_coo(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == len(gen.rows)
-    parts = lines[0].split()
-    assert len(parts) == 4
-    int(parts[0]), int(parts[1])
-    float(parts[2]), float(parts[3])
-    # entries are (row, col)-sorted and unique
-    keys = [(int(l.split()[0]), int(l.split()[1])) for l in lines]
-    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    # (6, 2, 2) is assembled out of (row, col) order, so export_coo must sort
+    for sec in (Sector(2, 1, 1), Sector(6, 2, 2)):
+        gen = build_hamiltonian_tasep(sec.length, sec)
+        buf = io.StringIO()
+        gen.export_coo(buf)
+        lines = buf.getvalue().strip().splitlines()
+        assert len(lines) == len(gen.rows)
+        parts = lines[0].split()
+        assert len(parts) == 4
+        int(parts[0]), int(parts[1])
+        float(parts[2]), float(parts[3])
+        # entries are (row, col)-sorted and unique
+        keys = [(int(l.split()[0]), int(l.split()[1])) for l in lines]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
