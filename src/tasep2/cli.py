@@ -273,7 +273,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args, _ = parser.parse_known_args(argv)
+    # --config is read first, so that it can supply required options
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    args, _ = pre.parse_known_args(argv)
     if args.config:
         try:
             defaults = _load_config(args.config)
@@ -291,6 +294,9 @@ def main(argv=None):
                     coerced[key] = val
         for sub_parser in (parser, *parser._command_parsers.values()):
             sub_parser.set_defaults(**coerced)
+            for action in sub_parser._actions:
+                if action.dest in defaults:
+                    action.required = False
             # argparse would convert a list option's string default whole
             sub_parser.set_defaults(**{
                 a.dest: [a.type(v) for v in defaults[a.dest].split()]

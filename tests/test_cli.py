@@ -241,6 +241,19 @@ def test_config_file_defaults(tmp_path):
     assert (tmp_path / "diag_L6_na2_nb2.json").exists()
 
 
+def test_config_file_supplies_required_options(tmp_path):
+    """Options a subcommand requires may come from the config file alone,
+    and a flag on the command line still overrides the file."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"length=6\nna=2\nnb=2\noutput_dir={tmp_path}\n")
+    assert run(["--config", str(cfg), "diag"]) == 0
+    data = json.loads((tmp_path / "diag_L6_na2_nb2.json").read_text())
+    assert data["dimension"] == 90
+    assert run(["--config", str(cfg), "diag", "--nb", "1"]) == 0
+    data = json.loads((tmp_path / "diag_L6_na2_nb1.json").read_text())
+    assert (data["n_B"], data["dimension"]) == (1, 60)
+
+
 def test_config_file_list_values(tmp_path):
     """A whitespace-separated list in a config file acts as the same list
     given on the command line."""

@@ -1,10 +1,12 @@
 """Dense and Krylov spectra against hand-built and cross-method oracles."""
 
 import io
+import logging
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from tasep2 import (
     ConvergenceError,
@@ -14,7 +16,9 @@ from tasep2 import (
     dense_spectrum,
     krylov_gap,
     project_momentum,
+    spectra,
 )
+from tasep2.lattice import momentum_blocks
 
 import oracles
 
@@ -168,6 +172,45 @@ def test_krylov_residual_contract_raises():
     gen = build_hamiltonian_tasep(6, Sector(6, 2, 2))
     with pytest.raises(ConvergenceError):
         krylov_gap(gen, seed=0, residual_tol=1e-18)
+
+
+def test_krylov_logs_each_factored_block(caplog):
+    """One DEBUG record per shift-inverted block: dim, nnz, the L+U fill
+    SuperLU stores and the factor time."""
+    gen = build_hamiltonian_tasep(6, Sector(6, 2, 2))
+    with caplog.at_level(logging.DEBUG, logger="tasep2.spectra"):
+        krylov_gap(gen, seed=0)
+    records = [r for r in caplog.records if r.name == "tasep2.spectra"]
+    blocks = momentum_blocks(gen, range(4))
+    assert [r.args[:2] for r in records] == [
+        (b.dimension, len(b.vals)) for b in blocks]
+    for rec in records:
+        dim, nnz, fill, seconds = rec.args
+        assert rec.levelno == logging.DEBUG
+        assert nnz <= fill and seconds >= 0
+
+
+def test_zero_mode_block_factor_is_accurate(monkeypatch):
+    """The (12,4,4) k = 0 block holds the zero mode, so H - sigma I is
+    nearest to singular there: the factor `krylov_gap` makes of it must
+    still solve to a relative residual of 1e-12."""
+    blk = project_momentum(build_hamiltonian_tasep(12, Sector(12, 4, 4)), 0)
+    factored = []
+    splu = spectra.spla.splu
+
+    def spy(mat, **kwargs):
+        factored.append((mat, splu(mat, **kwargs)))
+        return factored[-1][1]
+
+    monkeypatch.setattr(spectra.spla, "splu", spy)
+    res = krylov_gap(blk, seed=0)
+    assert res.zero_count == 1
+    (mat, lu), = factored
+    shifted = blk.to_csr() - 1e-3 * sp.identity(blk.dimension)
+    assert abs(mat - shifted).max() == 0
+    b = np.random.default_rng(0).standard_normal(blk.dimension)
+    x = lu.solve(b)
+    assert np.linalg.norm(mat @ x - b) / np.linalg.norm(b) <= 1e-12
 
 
 def test_spectrum_export_format(spectrum_l6_equal):
