@@ -540,27 +540,32 @@ def gap_branch_integers(p):
 
 
 GAP_BETA_SEED = 4.0 / 27.0  # beta's large-L limit
+_CUBE_UNITY = np.exp(2j * np.pi / 3.0 * np.arange(3))[:, None]
 
 
 def _gap_s(beta, p):
     """s = Z/(Z-1) of the p gap-state roots at the scalar beta.
 
-    Cubic j = 0..p-2 is s^2 (s - 1) = beta exp(2 pi i m / p) with the
-    half-integer label m = j - (p-1)/2.  All p-1 cubics are solved as one
-    batch of 3x3 companion matrices; each gives its largest-modulus root,
-    and cubic j = 0 also its middle-modulus root.  The roots are returned in
-    that order.
+    Cubic j = 0..p-2 is s^2 (s - 1) = c_j = beta exp(2 pi i m / p) with the
+    half-integer label m = j - (p-1)/2.  All p-1 cubics are solved at once
+    by Cardano's formula: s = t + 1/3 gives t^3 - t/3 - (2/27 + c) = 0, whose
+    roots are t = w u + 1/(9 w u) over the cube roots of unity w, with
+    u^3 = 1/27 + c/2 +- sqrt(c (4 + 27 c) / 108).  The sign that gives the
+    larger |u^3| avoids cancellation.  Each cubic gives its largest-modulus
+    root, and cubic j = 0 also its middle-modulus root; the roots are
+    returned in that order.
     """
-    rhs = beta * np.exp(2j * np.pi * (np.arange(p - 1) - (p - 1) / 2.0) / p)
-    companion = np.zeros((p - 1, 3, 3), dtype=complex)
-    companion[:, 0, 0] = 1.0
-    companion[:, 0, 2] = rhs
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    s = np.linalg.eigvals(companion)
-    s = np.take_along_axis(s, np.argsort(np.abs(s), axis=1), axis=1)
-    s, rhs = np.append(s[:, 2], s[0, 1]), np.append(rhs, rhs[0])
-    # one Newton step on each cubic takes the eigenvalue error to roundoff
-    return s - (s * s * (s - 1.0) - rhs) / (s * (3.0 * s - 2.0))
+    c = beta * np.exp(2j * np.pi * (np.arange(p - 1) - (p - 1) / 2.0) / p)
+    half_q = 1.0 / 27.0 + 0.5 * c
+    root_disc = np.sqrt(c * (4.0 + 27.0 * c) / 108.0)
+    plus, minus = half_q + root_disc, half_q - root_disc
+    cube = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
+    u = cube ** (1.0 / 3.0) * _CUBE_UNITY
+    s = u + 1.0 / (9.0 * u) + 1.0 / 3.0  # s[w, j]: the three roots of cubic j
+    s = np.take_along_axis(s, np.argsort(np.abs(s), axis=0), axis=0)
+    s, c = np.append(s[2], s[1, 0]), np.append(c, c[0])
+    # one Newton step on each cubic takes the closed-form error to roundoff
+    return s - (s * s * (s - 1.0) - c) / (s * (3.0 * s - 2.0))
 
 
 def _solve_gap_s(length, beta):
@@ -569,17 +574,20 @@ def _solve_gap_s(length, beta):
 
     The cubic roots solve every equation once beta^p prod_k Z_k = 1, i.e.
     g(u) = p u + sum_k ln Z_k = 0 with Im g wrapped to (-pi, pi];
-    g'(u) = p - sum_k 1/(3 s_k - 2).
+    g'(u) = p - sum_k 1/(3 s_k - 2).  Logs L, the iteration count and the
+    last |du| at DEBUG.
     """
     p = length // 3
     u = np.log(complex(beta))
-    for _ in range(50):
+    for it in range(1, 51):
         s = _gap_s(np.exp(u), p)
         g = p * u + np.log(s / (s - 1.0)).sum()
         g = complex(g.real, np.angle(np.exp(1j * g.imag)))
         du = g / (p - np.sum(1.0 / (3.0 * s - 2.0)))
         u -= du
         if abs(du) <= 1e-12:
+            logger.debug("L=%s: ln beta converged in %d iterations, "
+                         "|du| %.3e", length, it, abs(du))
             return _gap_s(np.exp(u), p)
     raise NewtonDivergenceError(
         f"L={length}: no convergence in ln beta (last step {abs(du):.3e})")

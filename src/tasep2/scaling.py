@@ -78,46 +78,43 @@ def bst_extrapolate(values, omega):
     """Bulirsch-Stoer tableau for a list of (L, value) pairs.
 
     Accepts two or more entries (the contract tolerances presume >= 4).
-    Near-zero correction denominators truncate the tableau at the previous
-    column and set the `truncated` flag.
+    Each column is computed as one numpy expression.  An entry passes
+    T[m+1, k] through unchanged at a converged corner (|d| <= 1e-14 scale)
+    or an infinite denominator (dd == 0).  A near-zero correction
+    denominator anywhere else in a column truncates the tableau at the
+    previous column and sets the `truncated` flag.
     """
     values = list(values)
     if len(values) < 2:
         raise ValueError("need at least two entries to extrapolate")
     if omega <= 0:
         raise ValueError("omega must be positive")
-    sizes = np.array([float(l) for l, _ in values])
-    if np.any(sizes[1:] <= sizes[:-1]):
+    sizes = [float(l) for l, _ in values]
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
-    col0 = [float(v) for _, v in values]
-    n = len(col0)
-    table = [col0]
-    prev_minus1 = [0.0] * (n + 1)
+    n = len(sizes)
+    table = [np.array([float(v) for _, v in values])]
+    below = np.zeros(n)
     truncated = False
-    for k in range(n - 1):
-        prev = table[-1]
-        below = table[-2] if len(table) >= 2 else prev_minus1
-        col = []
-        for m in range(len(prev) - 1):
-            d = prev[m + 1] - prev[m]
-            dd = prev[m + 1] - below[m + 1]
-            scale = max(abs(prev[m + 1]), abs(prev[m]), 1.0)
-            if abs(d) <= 1e-14 * scale:
-                col.append(prev[m + 1])     # converged corner: pass through
-                continue
-            if dd == 0.0:
-                col.append(prev[m + 1])     # infinite denominator: no change
-                continue
-            ratio = (sizes[m] / sizes[m + k + 1]) ** (-omega)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            prev = table[-1]
+            d = prev[1:] - prev[:-1]
+            dd = prev[1:] - below[1:len(prev)]
+            mag = np.maximum(np.abs(prev), 1.0)
+            scale = np.maximum(mag[1:], mag[:-1])
+            keep = (np.abs(d) <= 1e-14 * scale) | (dd == 0.0)
+            # scalar powers: numpy's array power can differ from libm's pow
+            # in the last bit, and the tableau amplifies that difference
+            ratio = np.array([(a / b) ** (-omega)
+                              for a, b in zip(sizes, sizes[k + 1:])])
             den = ratio * (1.0 - d / dd) - 1.0
-            if abs(den) < 1e-14:
+            if np.any(~keep & (np.abs(den) < 1e-14)):
                 truncated = True
                 break
-            col.append(prev[m + 1] + d / den)
-        else:
-            table.append(col)
-            continue
-        break
+            below = prev
+            table.append(np.where(keep, prev[1:], prev[1:] + d / den))
+    table = [col.tolist() for col in table]
     limit = table[-1][0]
     if len(table) >= 2:
         neighbor = table[-2][1] if len(table[-2]) > 1 else table[-2][0]

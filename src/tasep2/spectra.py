@@ -76,7 +76,8 @@ class SpectrumResult:
 
 
 def _sorted_eigs(vals):
-    order = np.lexsort((vals.imag, vals.real))
+    """By Re rounded to 10 decimals (stable under roundoff), then by Im."""
+    order = np.lexsort((vals.imag, np.round(vals.real, 10)))
     return vals[order]
 
 

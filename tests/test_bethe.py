@@ -31,6 +31,7 @@ from tasep2.bethe import (
     SOLVER_TOL,
     NewtonDivergenceError,
     SingularRootError,
+    _gap_s,
     _jacobian,
     _log_residual,
     _newton,
@@ -311,6 +312,50 @@ def test_gap_chain_360(gap_chain_360):
             assert roots.residual_norm <= max(SOLVER_TOL, floor), length
     gaps = [energy_from_roots(gap_chain_360[l]).real for l in lengths]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+
+def test_gap_chain_603_meets_solver_tol(caplog):
+    """The chain to L=603 meets the solver tolerance at every size without
+    the roundoff-floor fallback."""
+    with caplog.at_level(logging.DEBUG, logger="tasep2.bethe"):
+        chain = solve_gap_chain(603)
+    assert sorted(chain) == list(range(6, 604, 3))
+    for length, roots in chain.items():
+        assert roots.residual_norm <= SOLVER_TOL, length
+    assert "roundoff floor" not in caplog.text
+
+
+def test_gap_cubic_roots_match_numpy_roots():
+    """Every closed-form root equals the np.roots root of its cubic of the
+    same modulus rank (largest, and the middle one of cubic 0) to 1e-14
+    relative, and solves its cubic to a few ulps."""
+    # exp(-mean_k ln Z_k) of the L = 327 root set of the gap chain
+    chain_beta = 0.15298901354215383 + 0.00010980004000412025j
+    eps = np.finfo(float).eps
+    for p in (2, 3, 10, 109, 200):
+        for beta in (4.0 / 27.0, 0.1 + 0.02j, 0.15 - 0.01j, chain_beta):
+            c = beta * np.exp(2j * np.pi * (np.arange(p - 1) - (p - 1) / 2) / p)
+            by_modulus = [sorted(np.roots([1.0, -1.0, 0.0, -cj]), key=abs)
+                          for cj in c]
+            ref = np.array([r[2] for r in by_modulus] + [by_modulus[0][1]])
+            s = _gap_s(beta, p)
+            np.testing.assert_allclose(s, ref, rtol=1e-14, atol=0)
+            c = np.append(c, c[0])
+            terms = np.abs(s) ** 3 + np.abs(s) ** 2 + np.abs(c)
+            assert np.all(np.abs(s * s * (s - 1.0) - c) <= 4 * eps * terms)
+
+
+def test_ln_beta_solve_logs_each_size(caplog):
+    """One DEBUG record per size: L, the ln beta iterations and the last
+    |du|."""
+    with caplog.at_level(logging.DEBUG, logger="tasep2.bethe"):
+        solve_gap_chain(15)
+    records = [r for r in caplog.records if "ln beta" in r.getMessage()]
+    assert [r.args[0] for r in records] == [6, 9, 12, 15]
+    for rec in records:
+        length, iterations, last_step = rec.args
+        assert rec.levelno == logging.DEBUG
+        assert 1 <= iterations <= 50 and last_step <= 1e-12
 
 
 def test_newton_accepts_at_roundoff_floor_and_logs(gap6, caplog):

@@ -253,3 +253,14 @@ def test_sector_gap_landscape_l6():
     assert min(gaps.values()) == pytest.approx(1 - np.cos(2 * np.pi / 6), abs=1e-10)
     # the no-vacancy representative of the Bethe state carries the same gap
     assert gaps[(4, 2)] == pytest.approx(gaps[(2, 2)], abs=1e-10)
+
+
+def test_sorted_eigs_order_survives_last_bit_change():
+    """A conjugate pair whose Re differ by one ulp sorts by Im, whichever
+    member has the larger Re."""
+    re, im = 0.64690629, 0.39626301
+    up = np.nextafter(re, 1.0)
+    for vals in ([complex(re, im), complex(up, -im)],
+                 [complex(up, im), complex(re, -im)]):
+        out = spectra._sorted_eigs(np.array(vals))
+        np.testing.assert_array_equal(out.imag, [-im, im])
