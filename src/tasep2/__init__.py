@@ -30,7 +30,6 @@ from .bethe import (
     continue_in_L,
     counting_check,
     energy_from_roots,
-    energy_raw,
     solve_bethe,
     solve_gap_chain,
     solve_gap_state,
@@ -69,7 +68,6 @@ __all__ = [
     "counting_check",
     "dense_spectrum",
     "energy_from_roots",
-    "energy_raw",
     "hamiltonian_from_transfer",
     "krylov_gap",
     "local_exponent",

@@ -41,7 +41,7 @@ where cubic j = 0 reaches its branch point) or, in a chain, from the beta of
 the previous size.  The branch integers come from the principal logarithms
 of the cubic roots, and one fixed-integer `_newton` polish brings the nested
 residual to SOLVER_TOL.  A gap state must have Re gap > 0, and a chain step
-a local gap exponent in (-1.9, -1.3).  Its energy is E_gen = p - sum_k s_k.
+a local gap exponent in (-1.9, -1.3).
 
 Residual and Jacobian are O(p^2) numpy.  A row of the residual adds terms of
 size up to ~L before they cancel, so the row sums are carried in extended
@@ -51,10 +51,11 @@ cannot lower the residual but it is already below the roundoff floor
 eps * (L + p + r) * max|log term|, the roots are accepted, the residual
 reached is stored in `residual_norm`, and the acceptance is logged at DEBUG.
 
-A sector-reduced excitation energy e = E_raw - L - 2p with
-E_raw = L + sum_k 2 Z_k/(Z_k - 1) maps onto generator eigenvalues through an
-affine calibration; empirically E_gen = -e/2 (sign -1, scale 1/2, offset 0),
-verified against exact diagonalization at L = 6 and 9.
+The generator eigenvalue of any root set is E_gen = p - sum_k Z_k/(Z_k - 1)
+(`energy_from_roots`); at the gap state this is p - sum_k s_k.  In the
+paper's variables E_raw = L + sum_k 2 Z_k/(Z_k - 1), it is E_gen = -e/2 with
+e = E_raw - L - 2p.  `calibrate_energy_map` re-derives that map, (sign,
+scale, offset) = (-1, 1/2, 0), from exact spectra at L = 6 and 9.
 """
 
 import itertools
@@ -93,48 +94,45 @@ class NewtonDivergenceError(BetheError):
 
 @dataclass
 class BetheRootSet:
+    """A solved root set, Z and Y as the solver returned them (sorted by
+    Arg Z); lambda = ln(Z)/2 is derived."""
+
     length: int
-    p: int
-    r: int
-    lam: np.ndarray
-    Lam: np.ndarray
+    big_z: np.ndarray
+    big_y: np.ndarray
     branch_integers: np.ndarray
     second_integers: np.ndarray
     residual_norm: float = np.nan
 
     @property
-    def big_z(self):
-        return np.exp(2.0 * self.lam)
+    def p(self):
+        return len(self.big_z)
 
     @property
-    def big_y(self):
-        return np.exp(2.0 * self.Lam)
+    def r(self):
+        return len(self.big_y)
+
+    @property
+    def lam(self):
+        return 0.5 * np.log(self.big_z)
 
     @classmethod
     def from_big_z(cls, length, big_z, big_y, branch_integers,
                    second_integers=None, residual_norm=np.nan):
-        big_z = np.asarray(big_z, dtype=complex)
-        big_y = np.asarray(big_y, dtype=complex)
         order = np.argsort(np.angle(big_z))
-        big_z = big_z[order]
-        I = np.asarray(branch_integers, dtype=int)[order]
-        J = (np.zeros(0, dtype=int) if second_integers is None
-             else np.asarray(second_integers, dtype=int))
-        return cls(
-            length=length, p=len(big_z), r=len(big_y),
-            lam=0.5 * np.log(big_z), Lam=0.5 * np.log(big_y),
-            branch_integers=I, second_integers=J,
-            residual_norm=residual_norm,
-        )
+        J = np.zeros(0, int) if second_integers is None else second_integers
+        return cls(length, big_z[order], big_y, branch_integers[order], J,
+                   residual_norm)
 
     def to_json_dict(self):
-        e = energy_raw(self)
+        # lambda, Lambda = ln(Y)/2 and E_raw = L + 2p - 2 E_gen are derived
+        e = self.length + 2.0 * self.p - 2.0 * energy_from_roots(self)
         return {
             "L": self.length, "p": self.p, "r": self.r,
             "I": [int(i) for i in self.branch_integers],
             "J": [int(j) for j in self.second_integers],
             "lambda": [[x.real, x.imag] for x in self.lam],
-            "Lambda": [[x.real, x.imag] for x in self.Lam],
+            "Lambda": [[x.real, x.imag] for x in 0.5 * np.log(self.big_y)],
             "energy_raw": [e.real, e.imag],
             "residual_norm": self.residual_norm,
         }
@@ -144,7 +142,7 @@ class BetheRootSet:
         lam = np.array([complex(a, b) for a, b in d["lambda"]], dtype=complex)
         Lam = np.array([complex(a, b) for a, b in d["Lambda"]], dtype=complex)
         return cls(
-            length=d["L"], p=d["p"], r=d["r"], lam=lam, Lam=Lam,
+            length=d["L"], big_z=np.exp(2.0 * lam), big_y=np.exp(2.0 * Lam),
             branch_integers=np.asarray(d["I"], dtype=int),
             second_integers=np.asarray(d["J"], dtype=int),
             residual_norm=d.get("residual_norm", np.nan),
@@ -366,14 +364,16 @@ def solve_bethe(length, p, r=0, *, branch_integers, second_integers=None,
     if p < 1:
         raise ValueError("need at least one first-level root")
     I = np.asarray(branch_integers, dtype=int)
-    J = np.asarray(second_integers if second_integers is not None else [],
-                   dtype=int)
+    J = np.asarray(() if second_integers is None else second_integers, int)
     if len(I) != p or len(J) != r:
         raise ValueError("integer vectors must match root counts")
     attempts = []
     if seed_roots is not None:
-        attempts.append((np.asarray(seed_roots.big_z, dtype=complex),
-                         np.asarray(seed_roots.big_y, dtype=complex)))
+        if (seed_roots.p, seed_roots.r) != (p, r):
+            raise ValueError(
+                f"seed roots have (p, r) = ({seed_roots.p}, {seed_roots.r}),"
+                f" the integers ask for ({p}, {r})")
+        attempts.append((seed_roots.big_z, seed_roots.big_y))
     else:
         if length > 9 and p > 3:
             raise ValueError("multistart bootstrap is limited to small systems;"
@@ -402,48 +402,30 @@ def solve_bethe(length, p, r=0, *, branch_integers, second_integers=None,
 # ---------------------------------------------------------------------------
 # energies
 
-def energy_raw(roots):
-    """E_raw = L + sum_k 2 Z_k / (Z_k - 1)."""
+def energy_from_roots(roots):
+    """Generator eigenvalue E_gen = p - sum_k Z_k/(Z_k - 1) of a root set."""
     Z = roots.big_z
-    if len(Z) == 0:
-        return complex(roots.length)
-    if np.min(np.abs(Z - 1.0)) < 1e-14:
+    if np.any(np.abs(Z - 1.0) < 1e-14):
         raise SingularRootError("Z = 1 pole in the energy sum")
-    return roots.length + np.sum(2.0 * Z / (Z - 1.0))
+    return roots.p - np.sum(Z / (Z - 1.0))
 
 
 @dataclass(frozen=True)
 class EnergyMap:
-    """Affine map from reduced Bethe energies to generator eigenvalues.
-
-    E_gen = sign * scale * (E_raw - L - 2p) + offset.  The reduction by the
-    sector constant L + 2p makes the calibrated (sign, scale, offset)
-    independent of the system size.
-    """
+    """Affine map E_gen = sign * scale * e + offset from the reduced Bethe
+    energy e = E_raw - L - 2p, with E_raw = L + sum_k 2 Z_k/(Z_k - 1)."""
 
     sign: int
     scale: float
     offset: complex
-    calibrated_at: int
-
-    def apply(self, roots):
-        reduced = energy_raw(roots) - roots.length - 2.0 * roots.p
-        return self.sign * self.scale * reduced + self.offset
-
-
-DEFAULT_ENERGY_MAP = EnergyMap(sign=-1, scale=0.5, offset=0.0, calibrated_at=6)
-
-
-def energy_from_roots(roots):
-    """Generator eigenvalue of a converged root set."""
-    return DEFAULT_ENERGY_MAP.apply(roots)
 
 
 def calibrate_energy_map(length, seed=0):
     """Fix (sign, scale, offset) by matching Bethe states to exact spectra.
 
     Solves the p = length/3, r = 0 system for a set of branch integers plus
-    the trivial p = 0 state, then tests the finite menu sign in {+1, -1},
+    the trivial p = 0 state, takes each reduced energy e = E_raw - L - 2p =
+    -2 `energy_from_roots`, then tests the finite menu sign in {+1, -1},
     scale in {1, 1/2} against the equal-density sector spectrum.  Exactly one
     assignment may survive; anything else raises.  At L = 6 the integer
     pairs drawn from {-3..2} label the 15 r = 0 states (module docstring).
@@ -451,9 +433,8 @@ def calibrate_energy_map(length, seed=0):
     if length not in (6, 9):
         raise ValueError("calibration needs length 6 or 9 (dense spectra)")
     p = length // 3
-    sector = Sector(length, length // 3, length // 3)
-    spec = dense_spectrum(build_hamiltonian_tasep(length, sector))
-    evs = spec.eigenvalues
+    evs = dense_spectrum(
+        build_hamiltonian_tasep(length, Sector(length, p, p))).eigenvalues
 
     reduced = [complex(0.0)]  # p = 0 reference state, e = E_raw - L - 0 = 0
     if p == 2:
@@ -465,7 +446,7 @@ def calibrate_energy_map(length, seed=0):
             roots = solve_bethe(length, p, 0, branch_integers=I, seed=seed)
         except BetheError:
             continue
-        e = energy_raw(roots) - length - 2.0 * p
+        e = -2.0 * energy_from_roots(roots)
         if all(abs(e - x) > 1e-8 for x in reduced):
             reduced.append(e)
     if len(reduced) < 3:
@@ -474,11 +455,10 @@ def calibrate_energy_map(length, seed=0):
     survivors = []
     for sign in (+1, -1):
         for scale in (1.0, 0.5):
-            # offset from the p = 0 state (steady state, eigenvalue 0)
-            offset = 0.0
-            mapped = [sign * scale * e + offset for e in reduced]
+            # offset 0 from the p = 0 state (steady state, eigenvalue 0)
+            mapped = [sign * scale * e for e in reduced]
             if all(np.min(np.abs(evs - m)) <= 1e-9 for m in mapped):
-                survivors.append(EnergyMap(sign, scale, offset, length))
+                survivors.append(EnergyMap(sign, scale, 0.0))
     if not survivors:
         raise BetheError("no (sign, scale, offset) maps Bethe energies onto "
                          "the exact spectrum")
@@ -513,14 +493,10 @@ def counting_check(roots):
     p).
     """
     vals = counting_values(roots) * roots.length / (2.0 * np.pi)
-    half = (roots.p - 1) % 2
-    out = []
-    for j, v in enumerate(vals):
-        scaled = v.real - half / 2.0
-        nearest = np.round(scaled) + half / 2.0
-        resid = abs(v - nearest)
-        out.append((j, float(nearest), float(resid)))
-    return out
+    half = (roots.p - 1) % 2 / 2.0
+    nearest = np.round(vals.real - half) + half
+    return [(j, float(n), float(abs(v - n)))
+            for j, (v, n) in enumerate(zip(vals, nearest))]
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +574,8 @@ def _solve_gap(length, beta):
     roots, branch integers from their principal logarithms, then one
     fixed-integer `_newton` polish of the nested system."""
     s = _solve_gap_s(length, beta)
-    Z, Y, I, _, res = _newton(s / (s - 1.0), np.zeros(0, complex), length)
-    roots = BetheRootSet.from_big_z(length, Z, Y, I, residual_norm=res)
+    Z, Y, I, J, res = _newton(s / (s - 1.0), np.zeros(0, complex), length)
+    roots = BetheRootSet.from_big_z(length, Z, Y, I, J, res)
     if energy_from_roots(roots).real <= 0:
         raise NewtonDivergenceError(f"L={length}: state has nonpositive gap")
     return roots

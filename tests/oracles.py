@@ -124,3 +124,13 @@ def product_form_mismatch_looped(Z, Y, length):
         rhs = np.prod([-Y[j] / Y[n] for n in range(r) if n != j] or [1.0])
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
     return worst
+
+
+def energy_raw(Z, length):
+    """The paper's raw Bethe energy E_raw = L + sum_k 2 Z_k/(Z_k - 1)."""
+    return length + sum(2.0 * z / (z - 1.0) for z in Z)
+
+
+def energy_via_raw(Z, length):
+    """Generator eigenvalue by the paper's route, -(E_raw - L - 2p)/2."""
+    return -(energy_raw(Z, length) - length - 2 * len(Z)) / 2.0

@@ -142,8 +142,7 @@ def test_criterion_7_property_suites(gap_chain_36):
     for _ in range(100):
         perm = rng.permutation(roots6.p)
         shuffled = BetheRootSet(
-            length=6, p=roots6.p, r=0, lam=roots6.lam[perm],
-            Lam=np.zeros(0, complex),
+            length=6, big_z=roots6.big_z[perm], big_y=np.zeros(0, complex),
             branch_integers=roots6.branch_integers[perm],
             second_integers=np.zeros(0, int))
         assert abs(energy_from_roots(shuffled) - e0) <= 1e-12

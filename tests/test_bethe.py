@@ -19,7 +19,6 @@ from tasep2 import (
     counting_check,
     dense_spectrum,
     energy_from_roots,
-    energy_raw,
     krylov_gap,
     project_momentum,
     solve_bethe,
@@ -27,7 +26,6 @@ from tasep2 import (
 )
 from tasep2 import bethe
 from tasep2.bethe import (
-    DEFAULT_ENERGY_MAP,
     SOLVER_TOL,
     NewtonDivergenceError,
     SingularRootError,
@@ -71,12 +69,12 @@ def _generic_point(p, r, seed):
 
 
 def test_empty_residual_for_no_roots():
-    roots = BetheRootSet(length=6, p=0, r=0,
-                         lam=np.zeros(0, complex), Lam=np.zeros(0, complex),
+    roots = BetheRootSet(length=6, big_z=np.zeros(0, complex),
+                         big_y=np.zeros(0, complex),
                          branch_integers=np.zeros(0, int),
                          second_integers=np.zeros(0, int))
     assert len(bethe_residual(roots)) == 0
-    assert energy_raw(roots) == 6.0
+    assert roots.to_json_dict()["energy_raw"] == [6.0, 0.0]
     assert energy_from_roots(roots) == 0.0
 
 
@@ -100,9 +98,8 @@ def test_residual_perturbation_window(gap6):
 
 
 def test_singularity_reported():
-    roots = BetheRootSet(length=6, p=2, r=0,
-                         lam=np.array([0.0, 0.3 + 0.2j]),
-                         Lam=np.zeros(0, complex),
+    roots = BetheRootSet(length=6, big_z=np.array([1.0, np.exp(0.6 + 0.4j)]),
+                         big_y=np.zeros(0, complex),
                          branch_integers=np.array([-1, 1]),
                          second_integers=np.zeros(0, int))
     with pytest.raises(SingularRootError, match="Z_0"):
@@ -135,23 +132,41 @@ def test_newton_basin_100_perturbations(gap6):
                              - np.sort_complex(gap6.big_z))) <= 1e-10
 
 
-def test_energy_invariant_under_root_shuffle(gap6):
-    rng = np.random.default_rng(5)
-    e0 = energy_raw(gap6)
-    for _ in range(100):
-        perm = rng.permutation(gap6.p)
-        shuffled = BetheRootSet(
-            length=6, p=2, r=0, lam=gap6.lam[perm],
-            Lam=np.zeros(0, complex),
-            branch_integers=gap6.branch_integers[perm],
-            second_integers=np.zeros(0, int))
-        assert abs(energy_raw(shuffled) - e0) <= 1e-12
-
-
 def test_steady_state_is_regular_bethe_state():
     roots = solve_bethe(6, 2, 0, branch_integers=(-1, 0))
-    assert abs(energy_raw(roots) - 10.0) <= 1e-12   # L + 2p
+    assert abs(oracles.energy_raw(roots.big_z, 6) - 10.0) <= 1e-12  # L + 2p
     assert abs(energy_from_roots(roots)) <= 1e-12
+
+
+def test_energy_matches_paper_raw_route(gap_chain_360):
+    """p - sum Z/(Z-1) equals -(E_raw - L - 2p)/2 at the same roots, along
+    the gap chain and on a p = 2, r = 1 state, whose energy is the
+    eigenvalue (5 - sqrt 5)/2 of the L = 6 sector (n_A, n_B) = (4, 1)."""
+    for length, roots in gap_chain_360.items():
+        want = oracles.energy_via_raw(roots.big_z, length)
+        assert abs(energy_from_roots(roots) - want) <= 1e-13, length
+    roots = solve_bethe(6, 2, 1, branch_integers=(-2, 1), second_integers=(0,),
+                        seed=1)
+    e = energy_from_roots(roots)
+    assert abs(e - oracles.energy_via_raw(roots.big_z, 6)) <= 1e-13
+    assert abs(e - (5.0 - np.sqrt(5.0)) / 2.0) <= 1e-12
+
+
+def test_root_set_keeps_solver_roots(monkeypatch):
+    """The stored Z are the Newton solver's own, bit for bit, in Arg order."""
+    real, returned = bethe._newton, []
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        returned.append(out[0])
+        return out
+
+    monkeypatch.setattr(bethe, "_newton", recorded)
+    for solve in (lambda: solve_bethe(6, 2, 0, branch_integers=(-1, 1)),
+                  lambda: solve_gap_state(99)):
+        roots = solve()
+        Z = returned[-1]
+        np.testing.assert_array_equal(roots.big_z, Z[np.argsort(np.angle(Z))])
 
 
 def test_calibration_consistent_across_sizes():
@@ -291,8 +306,7 @@ def test_counting_and_product_form_match_looped_oracles(gap_chain_36):
                    - oracles.product_form_mismatch_looped(
                        Z, roots.big_y, length)) <= 1e-12
     Z, Y, I, J = _generic_point(3, 2, seed=4)
-    off = BetheRootSet(length=7, p=3, r=2, lam=0.5 * np.log(Z),
-                       Lam=0.5 * np.log(Y), branch_integers=I,
+    off = BetheRootSet(length=7, big_z=Z, big_y=Y, branch_integers=I,
                        second_integers=J)
     assert abs(product_form_mismatch(off) - oracles.product_form_mismatch_looped(
         off.big_z, off.big_y, 7)) <= 1e-12
@@ -529,11 +543,13 @@ def test_second_level_states_match_ed():
     assert len(matched) >= 3
 
 
-def test_solver_error_paths():
+def test_solver_error_paths(gap6):
     with pytest.raises(ValueError):
         solve_bethe(6, 0, 0, branch_integers=())
     with pytest.raises(ValueError):
         solve_bethe(6, 2, 0, branch_integers=(1, 2, 3))
+    with pytest.raises(ValueError, match=r"seed roots have \(p, r\) = \(2, 0\)"):
+        solve_bethe(6, 3, 0, branch_integers=(-1, 0, 1), seed_roots=gap6)
     with pytest.raises(NewtonDivergenceError):
         # coinciding integers force coinciding roots
         solve_bethe(6, 2, 0, branch_integers=(0, 0), seed=0)
@@ -546,6 +562,8 @@ def test_json_roundtrip(gap6):
     back = BetheRootSet.from_json_dict(data)
     np.testing.assert_allclose(back.big_z, gap6.big_z, atol=1e-15)
     np.testing.assert_array_equal(back.branch_integers, gap6.branch_integers)
+    assert abs(complex(*data["energy_raw"])
+               - oracles.energy_raw(gap6.big_z, 6)) <= 1e-13
 
 
 def test_curve_csv(gap6):
@@ -556,9 +574,3 @@ def test_curve_csv(gap6):
     re_, im_ = lines[0].split(",")
     float(re_), float(im_)
 
-
-def test_default_energy_map_matches_calibration():
-    m = calibrate_energy_map(6)
-    assert (m.sign, m.scale, m.offset) == (
-        DEFAULT_ENERGY_MAP.sign, DEFAULT_ENERGY_MAP.scale,
-        DEFAULT_ENERGY_MAP.offset)

@@ -119,6 +119,16 @@ def test_bethe_seed_file_roundtrip(tmp_path):
                                np.asarray(b["lambda"]), atol=1e-13)
 
 
+def test_bethe_seed_file_with_other_root_count(tmp_path, capsys):
+    run(["bethe", "--length", "6", "--output-dir", str(tmp_path)])
+    rc = run(["bethe", "--length", "6", "--integers", "-1", "0", "1",
+              "--from-file", str(tmp_path / "roots_L6.json"),
+              "--output-dir", str(tmp_path / "again")])
+    assert rc == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "seed roots have (p, r) = (2, 0), the integers ask for (3, 0)" in err
+
+
 def test_bethe_numerical_failure_exit_code(tmp_path):
     rc = run(["bethe", "--length", "6", "--integers", "0", "0",
               "--output-dir", str(tmp_path)])
