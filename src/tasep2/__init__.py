@@ -28,7 +28,6 @@ from .bethe import (
     bethe_residual,
     calibrate_energy_map,
     continue_in_L,
-    counting_check,
     energy_from_roots,
     solve_bethe,
     solve_gap_chain,
@@ -65,7 +64,6 @@ __all__ = [
     "calibrate_energy_map",
     "check_yang_baxter",
     "continue_in_L",
-    "counting_check",
     "dense_spectrum",
     "energy_from_roots",
     "hamiltonian_from_transfer",

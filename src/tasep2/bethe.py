@@ -59,7 +59,6 @@ scale, offset) = (-1, 1/2, 0), from exact spectra at L = 6 and 9.
 """
 
 import itertools
-import json
 import logging
 from dataclasses import dataclass
 
@@ -148,10 +147,6 @@ class BetheRootSet:
             residual_norm=d.get("residual_norm", np.nan),
         )
 
-    def write_json(self, stream):
-        json.dump(self.to_json_dict(), stream, indent=2)
-        stream.write("\n")
-
     def write_curve_csv(self, stream, plane="big_z"):
         """`re,im` per line for the requested root plane (big_z or lambda)."""
         roots = self.big_z if plane == "big_z" else self.lam
@@ -229,11 +224,6 @@ def _log_residual(Z, Y, length, K=None):
     return F.astype(complex), K
 
 
-def _residual(Z, Y, length, I, J):
-    """Log-form residual with branch integers I (first level), J (second)."""
-    return _log_residual(Z, Y, length, np.concatenate((I, J)))[0]
-
-
 def _roundoff_floor(Z, Y, length):
     """Smallest residual the log sums can resolve at these roots:
     eps * (L + p + r) * the largest single log term."""
@@ -265,22 +255,8 @@ def _jacobian(Z, Y, length):
 
 def bethe_residual(roots):
     """Log-form residual vector (p + r entries) at the stored roots."""
-    return _residual(roots.big_z, roots.big_y, roots.length,
-                     roots.branch_integers, roots.second_integers)
-
-
-def product_form_mismatch(roots):
-    """Max |LHS - RHS| of the exponentiated (product-form) equations."""
-    Z, Y, L = roots.big_z, roots.big_y, roots.length
-    M = -Z[:, None] / Z
-    np.fill_diagonal(M, 1.0)
-    W = Y / (Y - Z[:, None])  # W[k, j] = Y_j / (Y_j - Z_k)
-    N = -Y[:, None] / Y
-    np.fill_diagonal(N, 1.0)
-    lhs = np.concatenate(((Z / (Z - 1.0)) ** L, W.prod(axis=0)))
-    rhs = np.concatenate((M.prod(axis=1) * W.prod(axis=1), N.prod(axis=1)))
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-    return float(np.max(np.abs(lhs - rhs) / scale, initial=0.0))
+    K = np.concatenate((roots.branch_integers, roots.second_integers))
+    return _log_residual(roots.big_z, roots.big_y, roots.length, K)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -468,52 +444,7 @@ def calibrate_energy_map(length, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# counting function
-
-def counting_values(roots):
-    """Y_L(Z_j) at the roots, from the consistent kernel K(z_l, z) = ln(z_l/z).
-
-    The kernel printed with the counting function has the reciprocal
-    argument; only this orientation makes Y_L real at solutions (the other
-    picks up Re ln|Z_j/(Z_j-1)| twice).
-    """
-    Z, L = roots.big_z, roots.length
-    s = _offdiag_log_ratios(Z).sum(axis=0)  # sum_l ln(Z_l / Z_j)
-    return -1j * (np.log(Z / (Z - 1.0)) + s / L)
-
-
-def counting_check(roots):
-    """Quantized counting-function values at the roots.
-
-    Returns a list of (j, nearest_quantum_number, residual); quantum numbers
-    are integers for odd p and half-integers for even p.  A residual far
-    from zero flags a branch-cut crossing.  For each entry the nearest value is
-    exact up to per-root integer branch shifts of the principal-log sum
-    (those leave the residual near zero but can break monotonicity at large
-    p).
-    """
-    vals = counting_values(roots) * roots.length / (2.0 * np.pi)
-    half = (roots.p - 1) % 2 / 2.0
-    nearest = np.round(vals.real - half) + half
-    return [(j, float(n), float(abs(v - n)))
-            for j, (v, n) in enumerate(zip(vals, nearest))]
-
-
-# ---------------------------------------------------------------------------
-# gap state: quantum numbers and the one-scalar cubic reduction
-
-def gap_quantum_numbers(p):
-    """Counting quantum numbers of the slowest excitation: the symmetric
-    consecutive block with the top entry pushed out by one."""
-    numbers = np.arange(p) - (p - 1) / 2.0
-    numbers[-1] += 1.0
-    return numbers
-
-
-def gap_branch_integers(p):
-    I = gap_quantum_numbers(p) - (p - 1) / 2.0
-    return np.round(I).astype(int)
-
+# gap state: the one-scalar cubic reduction
 
 GAP_BETA_SEED = 4.0 / 27.0  # beta's large-L limit
 _CUBE_UNITY = np.exp(2j * np.pi / 3.0 * np.arange(3))[:, None]

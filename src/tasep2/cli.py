@@ -4,8 +4,9 @@ Every command accepts --seed and --output-dir (default from
 TASEP2_OUTPUT_DIR), and refuses to overwrite existing files unless --force
 is given.  `scale` and `bethe --length` without `--integers` are
 deterministic and accept --seed only because every subcommand does.  A config
-file of key=value lines mirroring the long flags (list values separated by
-spaces, as in `integers=-1 0`) can seed the defaults.
+file of key=value lines can seed the defaults: each key is a long flag without
+its dashes (`from=9`, `output-dir` or `output_dir`), list values are separated
+by spaces (`integers=-1 0`), and a key that names no flag is a config error.
 Exit codes: 0 success, 2 domain error, 3 numerical failure, 4 I/O error.
 """
 
@@ -42,8 +43,13 @@ def _write_json(path, payload, force):
         f.write("\n")
 
 
-def _load_config(path):
-    out = {}
+def _load_config(path, parsers):
+    """Set the key=value lines of a config file as defaults of the parsers.
+
+    A key is a long flag without its dashes, in any parser; a key that names
+    no flag, or a list value that does not convert, raises ValueError.
+    """
+    values = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -51,8 +57,26 @@ def _load_config(path):
         if "=" not in line:
             raise ValueError(f"config line is not key=value: {line!r}")
         key, val = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = val.strip()
-    return out
+        values["--" + key.strip().replace("_", "-")] = val.strip()
+    used = set()
+    for parser in parsers:
+        for action in parser._actions:
+            flag = next((o for o in action.option_strings if o in values),
+                        None)
+            if flag is None:
+                continue
+            used.add(flag)
+            val = values[flag]
+            if action.nargs == 0:  # store_true
+                val = val.lower() == "true"
+            elif action.nargs == "+":
+                # argparse would convert a list's string default whole
+                val = [action.type(v) for v in val.split()]
+            parser.set_defaults(**{action.dest: val})
+            action.required = False
+    unknown = sorted(set(values) - used)
+    if unknown:
+        raise ValueError("no option " + ", ".join(unknown))
 
 
 def _add_common(sub):
@@ -101,24 +125,26 @@ def cmd_diag(args):
 
 
 def cmd_bethe(args):
+    seed_roots = None
     if args.from_file:
         with open(args.from_file) as f:
             seed_roots = bethe.BetheRootSet.from_json_dict(json.load(f))
-    else:
-        seed_roots = None
-    if args.integers is not None:
-        p = len(args.integers)
-        roots = bethe.solve_bethe(args.length, p, args.second_roots,
-                                  branch_integers=args.integers,
-                                  second_integers=args.second_integers,
-                                  seed_roots=seed_roots, seed=args.seed)
-    elif seed_roots is not None and seed_roots.length == args.length:
-        roots = bethe.solve_bethe(args.length, seed_roots.p, seed_roots.r,
-                                  branch_integers=seed_roots.branch_integers,
-                                  second_integers=seed_roots.second_integers,
-                                  seed_roots=seed_roots, seed=args.seed)
-    else:
+    integers, second = args.integers, args.second_integers
+    r = args.second_roots
+    if integers is None and seed_roots is not None:
+        if seed_roots.length != args.length:
+            raise ValueError(
+                f"--from-file holds a root set of L = {seed_roots.length}, "
+                f"--length asks for L = {args.length}")
+        integers, second = seed_roots.branch_integers, seed_roots.second_integers
+        r = seed_roots.r
+    if integers is None:
         roots = bethe.solve_gap_state(args.length)
+    else:
+        roots = bethe.solve_bethe(args.length, len(integers), r,
+                                  branch_integers=integers,
+                                  second_integers=second,
+                                  seed_roots=seed_roots, seed=args.seed)
     out = _outdir(args)
     payload = roots.to_json_dict()
     energy = bethe.energy_from_roots(roots)
@@ -279,29 +305,11 @@ def main(argv=None):
     args, _ = pre.parse_known_args(argv)
     if args.config:
         try:
-            defaults = _load_config(args.config)
+            _load_config(args.config,
+                         (parser, *parser._command_parsers.values()))
         except (OSError, ValueError) as exc:
             sys.stderr.write(f"config error: {exc}\n")
             return EXIT_IO
-        coerced = {}
-        for key, val in defaults.items():
-            if val.lower() in ("true", "false"):
-                coerced[key] = val.lower() == "true"
-            else:
-                try:
-                    coerced[key] = int(val)
-                except ValueError:
-                    coerced[key] = val
-        for sub_parser in (parser, *parser._command_parsers.values()):
-            sub_parser.set_defaults(**coerced)
-            for action in sub_parser._actions:
-                if action.dest in defaults:
-                    action.required = False
-            # argparse would convert a list option's string default whole
-            sub_parser.set_defaults(**{
-                a.dest: [a.type(v) for v in defaults[a.dest].split()]
-                for a in sub_parser._actions
-                if a.nargs == "+" and a.dest in defaults})
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -24,10 +24,6 @@ from math import factorial
 import numpy as np
 import scipy.sparse as sp
 
-SPECIES_A = 0
-SPECIES_B = 1
-VACANCY = 2
-
 
 def _multinomial(length, n_a, n_b):
     return factorial(length) // (
@@ -91,15 +87,6 @@ class SectorGenerator:
 
     def column_sums(self):
         return np.asarray(self.to_csr().sum(axis=0)).ravel()
-
-    def export_coo(self, stream):
-        """One `row col re im` line per entry, (row, col)-sorted, 0-based,
-        17 significant digits."""
-        order = np.lexsort((self.cols, self.rows))
-        for r, c, v in zip(self.rows[order], self.cols[order],
-                           self.vals[order]):
-            v = complex(v)
-            stream.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
 
 
 def _sorted_coo(key, vals, dimension):
@@ -186,16 +173,12 @@ def _assemble(length, packs, sector):
     )
 
 
-def _full_space_packs(length):
-    return np.arange(3 ** length, dtype=np.int64)
-
-
 def build_hamiltonian_tasep(length, sector=None):
     """Generator of the whole ring or of one sector."""
     if length < 2:
         raise ValueError("need at least two sites")
     if sector is None:
-        return _assemble(length, _full_space_packs(length), None)
+        return _assemble(length, np.arange(3 ** length, dtype=np.int64), None)
     if sector.length != length:
         raise ValueError("sector length mismatch")
     return _assemble(length, sector_packs(sector), sector)
@@ -226,12 +209,6 @@ def orbit_table(length, packs):
         shift[lower] = s
         period[(period == 0) & (moved == packs)] = s
     return np.searchsorted(packs, best), shift, period
-
-
-def translation_permutation(gen):
-    """perm with perm[i] = index of the right-translated configuration i."""
-    return np.searchsorted(gen.packs,
-                           translate_packed(gen.packs, gen.length))
 
 
 def momentum_blocks(gen, momenta):

@@ -59,28 +59,15 @@ def _r_operator(theta):
     return np.transpose(r_tensor(theta), (0, 1, 3, 2)).reshape(9, 9)
 
 
-_SWAP23 = None
-
-
-def _swap23():
-    global _SWAP23
-    if _SWAP23 is None:
-        P = np.zeros((27, 27))
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    P[i * 9 + k * 3 + j, i * 9 + j * 3 + k] = 1.0
-        _SWAP23 = P
-    return _SWAP23
-
-
 def check_yang_baxter(theta1, theta2, theta3):
     """Max-norm residual of the factorization equation at the given triple."""
     eye = np.eye(3)
     r12 = np.kron(_r_operator(theta1 - theta2), eye)
     r23 = np.kron(eye, _r_operator(theta2 - theta3))
-    P = _swap23()
-    r13 = P @ np.kron(_r_operator(theta1 - theta3), eye) @ P
+    # R_13 is R_12 with the factors 2 and 3 swapped on both sides
+    r13 = (np.kron(_r_operator(theta1 - theta3), eye)
+           .reshape(3, 3, 3, 3, 3, 3).transpose(0, 2, 1, 3, 5, 4)
+           .reshape(27, 27))
     lhs = r12 @ r13 @ r23
     rhs = r23 @ r13 @ r12
     return float(np.max(np.abs(lhs - rhs)))

@@ -110,6 +110,28 @@ def counting_values_looped(Z, length):
     return out
 
 
+def counting_check(Z, length):
+    """(nearest quantum number, |residual|) of L Y_L(Z_j) / 2 pi at each
+    root; the numbers are integers for odd p and half-integers for even p."""
+    half = (len(Z) - 1) % 2 / 2.0
+    out = []
+    for v in counting_values_looped(Z, length) * length / (2.0 * np.pi):
+        n = round(v.real - half) + half
+        out.append((n, abs(v - n)))
+    return out
+
+
+def gap_quantum_numbers(p):
+    """Counting quantum numbers of the gap state: the symmetric consecutive
+    block with the top entry pushed out by one."""
+    return [j - (p - 1) / 2.0 + (j == p - 1) for j in range(p)]
+
+
+def gap_branch_integers(p):
+    """Branch integers I = quantum number - (p-1)/2 of the gap state."""
+    return [int(n - (p - 1) / 2.0) for n in gap_quantum_numbers(p)]
+
+
 def product_form_mismatch_looped(Z, Y, length):
     """Max scaled |LHS - RHS| of the exponentiated nested Bethe equations."""
     p, r = len(Z), len(Y)

@@ -22,12 +22,7 @@ from tasep2 import (
     solve_bethe,
     transfer_hamiltonian_check,
 )
-from tasep2.bethe import (
-    BetheRootSet,
-    _log_residual,
-    gap_branch_integers,
-    product_form_mismatch,
-)
+from tasep2.bethe import BetheRootSet, _log_residual
 
 from conftest import PAPER_EXTRAPOLANTS
 

@@ -16,7 +16,6 @@ from tasep2 import (
     build_hamiltonian_tasep,
     calibrate_energy_map,
     continue_in_L,
-    counting_check,
     dense_spectrum,
     energy_from_roots,
     krylov_gap,
@@ -33,12 +32,7 @@ from tasep2.bethe import (
     _jacobian,
     _log_residual,
     _newton,
-    _residual,
     _roundoff_floor,
-    counting_values,
-    gap_branch_integers,
-    gap_quantum_numbers,
-    product_form_mismatch,
     solve_gap_chain,
 )
 
@@ -51,7 +45,7 @@ GAP_L12_RE = 0.170064984267566
 
 @pytest.fixture(scope="module")
 def gap6():
-    return solve_bethe(6, 2, 0, branch_integers=gap_branch_integers(2))
+    return solve_bethe(6, 2, 0, branch_integers=oracles.gap_branch_integers(2))
 
 
 @pytest.fixture(scope="module")
@@ -86,14 +80,14 @@ def test_gap_state_l6(gap6):
 
 
 def test_product_form_identity(gap6):
-    assert product_form_mismatch(gap6) <= 1e-12
+    assert oracles.product_form_mismatch_looped(gap6.big_z, gap6.big_y,
+                                                6) <= 1e-12
 
 
 def test_residual_perturbation_window(gap6):
     rng = np.random.default_rng(3)
     Z = gap6.big_z + 1e-4 * np.exp(2j * np.pi * rng.random(2))
-    F = _residual(Z, np.zeros(0, complex), 6, gap6.branch_integers,
-                  np.zeros(0, int))
+    F = _log_residual(Z, np.zeros(0, complex), 6, gap6.branch_integers)[0]
     assert 1e-6 < np.max(np.abs(F)) < 1e-2
 
 
@@ -216,10 +210,10 @@ def test_bethe_matches_ed_l6(gap6, spectrum_l6_equal):
 
 
 def test_counting_roundtrip_l6(gap6):
-    checks = counting_check(gap6)
-    numbers = sorted(n for _, n, _ in checks)
-    np.testing.assert_allclose(numbers, gap_quantum_numbers(2))
-    assert all(resid <= 1e-10 for _, _, resid in checks)
+    checks = oracles.counting_check(gap6.big_z, 6)
+    numbers = sorted(n for n, _ in checks)
+    np.testing.assert_allclose(numbers, oracles.gap_quantum_numbers(2))
+    assert all(resid <= 1e-10 for _, resid in checks)
 
 
 def test_counting_monotone_at_small_sizes(gap_chain_36):
@@ -228,20 +222,18 @@ def test_counting_monotone_at_small_sizes(gap_chain_36):
     per-term branch shifts can reorder them (values stay half-integers)."""
     for length in (6, 9, 12):
         roots = gap_chain_36[length]
-        numbers = [n for _, n, _ in counting_check(roots)]
+        numbers = [n for n, _ in oracles.counting_check(roots.big_z, length)]
         ordered = sorted(numbers)
         assert all(b > a for a, b in zip(ordered, ordered[1:]))
         np.testing.assert_allclose(ordered,
-                                   gap_quantum_numbers(length // 3))
+                                   oracles.gap_quantum_numbers(length // 3))
 
 
 def test_counting_negative_control(gap6):
     rng = np.random.default_rng(9)
-    noisy = BetheRootSet.from_big_z(
-        6, gap6.big_z * (1 + 0.01 * rng.standard_normal(2)),
-        np.zeros(0, complex), gap6.branch_integers)
-    checks = counting_check(noisy)
-    assert max(resid for _, _, resid in checks) > 1e-6
+    noisy = gap6.big_z * (1 + 0.01 * rng.standard_normal(2))
+    checks = oracles.counting_check(noisy, 6)
+    assert max(resid for _, resid in checks) > 1e-6
 
 
 def test_conjugate_partner_state(gap6):
@@ -261,7 +253,7 @@ def test_conjugate_partner_state(gap6):
 def test_residual_matches_looped_oracle(p, r):
     Z, Y, I, J = _generic_point(p, r, seed=10 * p + r)
     want = oracles.bethe_residual_looped(Z, Y, 7, I, J)
-    got = _residual(Z, Y, 7, I, J)
+    got = _log_residual(Z, Y, 7, np.concatenate((I, J)))[0]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -271,7 +263,7 @@ def test_residual_matches_looped_oracle_at_l330(gap_chain_360):
     Z, Y = roots.big_z, roots.big_y
     I, J = roots.branch_integers, roots.second_integers
     want = oracles.bethe_residual_looped(Z, Y, 330, I, J)
-    got = _residual(Z, Y, 330, I, J)
+    got = bethe_residual(roots)
     scale = 330 * np.max(np.abs(np.log(Z / (Z - 1.0))))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
     # re-synced integers recover the stored ones
@@ -283,33 +275,17 @@ def test_residual_matches_looped_oracle_at_l330(gap_chain_360):
 @pytest.mark.parametrize("p, r", [(3, 0), (3, 2)])
 def test_jacobian_matches_central_difference(p, r):
     Z, Y, I, J = _generic_point(p, r, seed=p + 5 * r)
-    x = np.concatenate((Z, Y))
+    x, K = np.concatenate((Z, Y)), np.concatenate((I, J))
     h = 1e-6
     numeric = np.empty((p + r, p + r), dtype=complex)
     for c in range(p + r):
         e = np.zeros(p + r, dtype=complex)
         e[c] = h
         up, down = x + e, x - e
-        numeric[:, c] = (_residual(up[:p], up[p:], 7, I, J)
-                         - _residual(down[:p], down[p:], 7, I, J)) / (2 * h)
+        numeric[:, c] = (_log_residual(up[:p], up[p:], 7, K)[0]
+                         - _log_residual(down[:p], down[p:], 7, K)[0]) / 2 / h
     analytic = _jacobian(Z, Y, 7)
     assert np.max(np.abs(analytic - numeric)) <= 1e-7 * np.max(np.abs(analytic))
-
-
-def test_counting_and_product_form_match_looped_oracles(gap_chain_36):
-    for length, roots in gap_chain_36.items():
-        Z = roots.big_z
-        np.testing.assert_allclose(
-            counting_values(roots), oracles.counting_values_looped(Z, length),
-            rtol=0, atol=1e-12)
-        assert abs(product_form_mismatch(roots)
-                   - oracles.product_form_mismatch_looped(
-                       Z, roots.big_y, length)) <= 1e-12
-    Z, Y, I, J = _generic_point(3, 2, seed=4)
-    off = BetheRootSet(length=7, big_z=Z, big_y=Y, branch_integers=I,
-                       second_integers=J)
-    assert abs(product_form_mismatch(off) - oracles.product_form_mismatch_looped(
-        off.big_z, off.big_y, 7)) <= 1e-12
 
 
 def test_gap_chain_360(gap_chain_360):
@@ -427,7 +403,8 @@ def test_chain_residuals_and_counts(gap_chain_36):
         assert roots.p == length // 3
         assert roots.r == 0
         assert roots.residual_norm <= 1e-13
-        assert product_form_mismatch(roots) <= 1e-12
+        assert oracles.product_form_mismatch_looped(
+            roots.big_z, roots.big_y, length) <= 1e-12
 
 
 def test_chain_energy_known_values(gap_chain_36):
@@ -437,8 +414,8 @@ def test_chain_energy_known_values(gap_chain_36):
 
 def test_counting_values_near_half_integers_along_chain(gap_chain_36):
     for length, roots in gap_chain_36.items():
-        checks = counting_check(roots)
-        assert all(resid <= 1e-10 for _, _, resid in checks), length
+        checks = oracles.counting_check(roots.big_z, length)
+        assert all(resid <= 1e-10 for _, resid in checks), length
 
 
 def test_continuation_prediction_accuracy(gap_chain_36):
@@ -536,7 +513,8 @@ def test_second_level_states_match_ed():
                 except Exception:
                     continue
                 assert roots.residual_norm <= 1e-13
-                assert product_form_mismatch(roots) <= 1e-12
+                assert oracles.product_form_mismatch_looped(
+                    roots.big_z, roots.big_y, 6) <= 1e-12
                 e = energy_from_roots(roots)
                 if np.min(np.abs(ref - e)) <= 1e-8:
                     matched.add((round(e.real, 8), round(e.imag, 8)))
@@ -556,9 +534,7 @@ def test_solver_error_paths(gap6):
 
 
 def test_json_roundtrip(gap6):
-    buf = io.StringIO()
-    gap6.write_json(buf)
-    data = json.loads(buf.getvalue())
+    data = json.loads(json.dumps(gap6.to_json_dict()))
     back = BetheRootSet.from_json_dict(data)
     np.testing.assert_allclose(back.big_z, gap6.big_z, atol=1e-15)
     np.testing.assert_array_equal(back.branch_integers, gap6.branch_integers)

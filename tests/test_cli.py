@@ -129,6 +129,19 @@ def test_bethe_seed_file_with_other_root_count(tmp_path, capsys):
     assert "seed roots have (p, r) = (2, 0), the integers ask for (3, 0)" in err
 
 
+def test_bethe_seed_file_of_other_length_refused(tmp_path, capsys):
+    """A root set of another L and no --integers is a domain error naming
+    both lengths, not a silent solve of the gap state."""
+    run(["bethe", "--length", "6", "--output-dir", str(tmp_path)])
+    rc = run(["bethe", "--length", "9", "--from-file",
+              str(tmp_path / "roots_L6.json"),
+              "--output-dir", str(tmp_path / "again")])
+    assert rc == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "L = 6" in err and "L = 9" in err
+    assert not (tmp_path / "again" / "roots_L9.json").exists()
+
+
 def test_bethe_numerical_failure_exit_code(tmp_path):
     rc = run(["bethe", "--length", "6", "--integers", "0", "0",
               "--output-dir", str(tmp_path)])
@@ -275,6 +288,23 @@ def test_config_file_list_values(tmp_path):
     got = json.loads((tmp_path / "cfg" / "roots_L6.json").read_text())
     assert got == json.loads((tmp_path / "cli" / "roots_L6.json").read_text())
     assert got["I"] == [0, -1]
+
+
+def test_config_keys_are_long_flags(tmp_path, capsys):
+    """A config key is a long flag's name (`from`, whose dest is `frm`); a
+    key that names no flag of any subcommand, or a list value that does not
+    convert, is a config error."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"from=9\nto=21\noutput-dir={tmp_path}\n")
+    assert run(["--config", str(cfg), "scale"]) == 0
+    lines = (tmp_path / "gap_series.csv").read_text().strip().splitlines()
+    assert lines[1].startswith("9,")
+    cfg.write_text(f"frm=9\noutput_dir={tmp_path / 'frm'}\n")
+    assert run(["--config", str(cfg), "scale"]) == cli.EXIT_IO
+    assert "--frm" in capsys.readouterr().err
+    assert not (tmp_path / "frm").exists()
+    cfg.write_text("integers=-1 x\n")
+    assert run(["--config", str(cfg), "bethe", "--length", "6"]) == cli.EXIT_IO
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):

@@ -1,7 +1,5 @@
 """Sector enumeration and generator assembly against the brute-force oracle."""
 
-import io
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,13 +11,8 @@ from tasep2 import (
     dense_spectrum,
     project_momentum,
 )
-from tasep2.lattice import SPECIES_A, SPECIES_B, VACANCY, translation_permutation
 
 import oracles
-
-
-def test_species_encoding_order():
-    assert SPECIES_A == 0 and SPECIES_B == 1 and VACANCY == 2
 
 
 def test_sector_validation_and_dimension():
@@ -96,7 +89,11 @@ def test_translation_commutes():
     for length, n_a, n_b in ((4, 2, 1), (6, 2, 2)):
         gen = build_hamiltonian_tasep(length, Sector(length, n_a, n_b))
         mat = gen.to_dense()
-        perm = translation_permutation(gen)
+        # the oracle's states are in the generator's order; translation
+        # moves the content of site j to site j + 1
+        states = oracles.ring_states(length, n_a, n_b)
+        index = {c: i for i, c in enumerate(states)}
+        perm = [index[c[-1:] + c[:-1]] for c in states]
         t = np.zeros_like(mat)
         t[perm, np.arange(gen.dimension)] = 1.0
         np.testing.assert_allclose(t @ mat, mat @ t, atol=1e-13)
@@ -144,20 +141,3 @@ def test_zero_momentum_block_has_steady_state():
     blk = project_momentum(gen, 0)
     vals = dense_spectrum(blk).eigenvalues
     assert np.min(np.abs(vals)) <= 1e-10
-
-
-def test_coo_export_format():
-    # (6, 2, 2) is assembled out of (row, col) order, so export_coo must sort
-    for sec in (Sector(2, 1, 1), Sector(6, 2, 2)):
-        gen = build_hamiltonian_tasep(sec.length, sec)
-        buf = io.StringIO()
-        gen.export_coo(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert len(lines) == len(gen.rows)
-        parts = lines[0].split()
-        assert len(parts) == 4
-        int(parts[0]), int(parts[1])
-        float(parts[2]), float(parts[3])
-        # entries are (row, col)-sorted and unique
-        keys = [(int(l.split()[0]), int(l.split()[1])) for l in lines]
-        assert keys == sorted(keys) and len(set(keys)) == len(keys)
