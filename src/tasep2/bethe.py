@@ -43,9 +43,15 @@ of the cubic roots, and one fixed-integer `_newton` polish brings the nested
 residual to SOLVER_TOL.  A gap state must have Re gap > 0, and a chain step
 a local gap exponent in (-1.9, -1.3).
 
-Residual and Jacobian are O(p^2) numpy.  A row of the residual adds terms of
-size up to ~L before they cancel, so the row sums are carried in extended
-precision where the platform has it.  A solve converges at a max-norm
+The residual is O(p log p) and the Jacobian O(p^2).  With principal logs,
+theta = Arg X in (-pi, pi],
+
+    sum_{l != k} Ln(X_k/X_l) = p Ln X_k - sum_l Ln X_l - 2 pi i (n+_k - n-_k),
+
+n+_k and n-_k counting the l with theta_k - theta_l > pi and <= -pi (one
+`searchsorted` on the sorted angles).  Rows add terms up to ~L before they
+cancel, so the logs and row sums are carried in extended precision where the
+platform has it.  A solve converges at a max-norm
 residual <= SOLVER_TOL = 1e-13.  The one fallback: when the line search
 cannot lower the residual but it is already below the roundoff floor
 eps * (L + p + r) * max|log term|, the roots are accepted, the residual
@@ -184,39 +190,42 @@ def _check_args(Z, Y):
             raise SingularRootError("coinciding second-level roots")
 
 
-def _offdiag_log_ratios(X):
-    """Matrix ln(X_a / X_b) with a zero diagonal."""
-    D = np.log(X[:, None] / X)
-    D.ravel()[::len(X) + 1] = 0.0
-    return D
-
-
-# row sums reach hundreds before they cancel to ~1e-13, so they are carried
-# in extended precision where the platform has it (x87 long double)
-_EXT = np.clongdouble
+_EXT = np.clongdouble  # x87 long double on x86; see the module docstring
 _PI_EXT = 4 * np.arctan(np.longdouble(1))
+_MINUS_PLUS_PI = np.array([[-_PI_EXT], [_PI_EXT]])
+
+
+def _log_ratio_row_sums(X):
+    """sum_{l != k} Ln(X_k / X_l) for every k in extended precision, by the
+    sorted-angle identity of the module docstring; the angles are those of
+    the extended-precision logs, so wrap counts and logs agree."""
+    p = len(X)
+    log_x = np.log(X.astype(_EXT))
+    theta = log_x.imag
+    at = np.searchsorted(np.sort(theta), theta + _MINUS_PLUS_PI)  # n+, p - n-
+    sums = p * log_x - log_x.sum()
+    sums.imag -= 2 * _PI_EXT * (at[0] + at[1] - p)
+    return sums
 
 
 def _log_residual(Z, Y, length, K=None):
     """Log-form residual and its branch integers K = (I, J).
 
     With K = None the integers are re-synced to the principal logarithms:
-    K = round(Im F0 / 2 pi) for the residual F0 taken with K = 0.  The p x p
-    log-ratio terms are computed in double and added by numpy's pairwise
-    `sum(axis=1)` into extended-precision row sums, which also take the
-    L ln(Z/(Z-1)) and the constant and integer terms.
+    K = round(Im F0 / 2 pi) for the residual F0 taken with K = 0.  The
+    log-ratio sums are `_log_ratio_row_sums`; the p x r terms
+    ln(Y_j / (Y_j - Z_k)) are summed in extended precision.
     """
     _check_args(Z, Y)
     p, r = len(Z), len(Y)
     Ze = Z.astype(_EXT)
-    F = (length * np.log(Ze / (Ze - 1))
-         - _offdiag_log_ratios(Z).sum(axis=1, dtype=_EXT))
+    F = length * np.log(Ze / (Ze - 1)) - _log_ratio_row_sums(Z)
     half_turns = p - 1  # the -i pi (p - 1) of a first-level row
     if r:
         W = np.log(Y / (Y - Z[:, None]))  # W[k, j] = ln(Y_j / (Y_j - Z_k))
         F -= W.sum(axis=1, dtype=_EXT)
         F = np.concatenate((F, W.sum(axis=0, dtype=_EXT)
-                            - _offdiag_log_ratios(Y).sum(axis=1, dtype=_EXT)))
+                            - _log_ratio_row_sums(Y)))
         half_turns = np.repeat((p - 1, r - 1), (p, r))
     if K is None:
         K = np.rint((F.imag / _PI_EXT - half_turns) / 2).astype(int)
@@ -227,10 +236,10 @@ def _log_residual(Z, Y, length, K=None):
 def _roundoff_floor(Z, Y, length):
     """Smallest residual the log sums can resolve at these roots:
     eps * (L + p + r) * the largest single log term."""
-    terms = [np.abs(np.log(Z / (Z - 1.0))), np.abs(_offdiag_log_ratios(Z))]
+    terms = [np.abs(np.log(Z / (Z - 1.0))), np.abs(np.log(Z[:, None] / Z))]
     if len(Y):
         terms += [np.abs(np.log(Y / (Y - Z[:, None]))),
-                  np.abs(_offdiag_log_ratios(Y))]
+                  np.abs(np.log(Y[:, None] / Y))]
     biggest = max(float(t.max()) for t in terms)
     return np.finfo(float).eps * (length + len(Z) + len(Y)) * biggest
 
@@ -271,8 +280,10 @@ def _newton(Z0, Y0, length, I=None, J=None, tol=SOLVER_TOL):
 
     Converged means a max-norm residual <= tol.  A failed line search also
     ends the solve, as converged, when the residual is already below the
-    roundoff floor of the log sums (`_roundoff_floor`).
-    Returns (Z, Y, I, J, residual_norm) or raises a `BetheError`.
+    roundoff floor of the log sums (`_roundoff_floor`).  A converged solve
+    logs L, p, its Newton steps, their line-search halvings and the final
+    residual at DEBUG.  Returns (Z, Y, I, J, residual_norm) or raises a
+    `BetheError`.
     """
     Z = np.array(Z0, dtype=complex)
     Y = np.array(Y0, dtype=complex)
@@ -280,6 +291,7 @@ def _newton(Z0, Y0, length, I=None, J=None, tol=SOLVER_TOL):
     F, K = _log_residual(Z, Y, length,
                          None if I is None else np.concatenate((I, J)))
     nrm = float(np.abs(F).max())
+    steps = halvings = 0
     for _ in range(200):
         if nrm <= tol:
             break
@@ -287,19 +299,18 @@ def _newton(Z0, Y0, length, I=None, J=None, tol=SOLVER_TOL):
             step = np.linalg.solve(_jacobian(Z, Y, length), -F)
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergenceError(f"singular Jacobian: {exc}") from exc
-        lam = 1.0
-        for _ in range(30):
+        for t in range(30):
+            lam = 0.5 ** t
             Zn, Yn = Z + lam * step[:p], Y + lam * step[p:]
             try:
                 Fn = _log_residual(Zn, Yn, length, K)[0]
             except SingularRootError:
-                lam *= 0.5
                 continue
             nrm_n = float(np.abs(Fn).max())
             if nrm_n < nrm:
                 Z, Y, F, nrm = Zn, Yn, Fn, nrm_n
+                steps, halvings = steps + 1, halvings + t
                 break
-            lam *= 0.5
         else:
             floor = _roundoff_floor(Z, Y, length)
             if nrm <= floor:
@@ -313,6 +324,8 @@ def _newton(Z0, Y0, length, I=None, J=None, tol=SOLVER_TOL):
         if nrm > tol:
             raise NewtonDivergenceError(
                 f"iteration budget exhausted at residual {nrm:.3e}")
+    logger.debug("L=%s, p=%d: Newton solve in %d steps, %d halvings, "
+                 "residual %.3e", length, p, steps, halvings, nrm)
     return Z, Y, K[:p], K[p:], nrm
 
 

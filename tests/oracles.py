@@ -99,6 +99,37 @@ def bethe_residual_looped(Z, Y, length, I, J):
     return F
 
 
+def offdiag_log_ratios(X):
+    """Matrix ln(X_a / X_b) with a zero diagonal."""
+    D = np.log(X[:, None] / X)
+    D.ravel()[::len(X) + 1] = 0.0
+    return D
+
+
+def bethe_residual_matrix(Z, Y, length, K=None):
+    """Log-form nested Bethe residual and its integers K = (I, J), with each
+    log-ratio sum over s != k and n != j the row sum of the p x p (r x r)
+    `offdiag_log_ratios` matrix, added in extended precision.  With K = None
+    the integers are re-synced: K = round(Im F0 / 2 pi) for F0 at K = 0."""
+    ext = np.clongdouble
+    pi = 4 * np.arctan(np.longdouble(1))
+    p, r = len(Z), len(Y)
+    Ze = Z.astype(ext)
+    F = (length * np.log(Ze / (Ze - 1))
+         - offdiag_log_ratios(Z).sum(axis=1, dtype=ext))
+    half_turns = p - 1
+    if r:
+        W = np.log(Y / (Y - Z[:, None]))
+        F -= W.sum(axis=1, dtype=ext)
+        F = np.concatenate((F, W.sum(axis=0, dtype=ext)
+                            - offdiag_log_ratios(Y).sum(axis=1, dtype=ext)))
+        half_turns = np.repeat((p - 1, r - 1), (p, r))
+    if K is None:
+        K = np.rint((F.imag / pi - half_turns) / 2).astype(int)
+    F.imag -= pi * (half_turns + 2 * K)
+    return F.astype(complex), K
+
+
 def counting_values_looped(Z, length):
     """-i (ln(Z_j/(Z_j-1)) + sum_{l != j} ln(Z_l/Z_j) / L) for each root."""
     p = len(Z)

@@ -272,6 +272,56 @@ def test_residual_matches_looped_oracle_at_l330(gap_chain_360):
     np.testing.assert_array_equal(F, got)
 
 
+def _assert_matches_matrix_oracle(Z, Y, length, K, bound):
+    """F at fixed integers K, the re-synced integers and the re-synced F
+    against the p x p log-ratio matrix oracle."""
+    got = _log_residual(Z, Y, length, K)[0]
+    want = oracles.bethe_residual_matrix(Z, Y, length, K)[0]
+    assert np.max(np.abs(got - want)) <= bound
+    F, K_got = _log_residual(Z, Y, length)
+    F_want, K_want = oracles.bethe_residual_matrix(Z, Y, length)
+    np.testing.assert_array_equal(K_got, K_want)
+    assert np.max(np.abs(F - F_want)) <= bound
+
+
+def test_residual_matches_matrix_oracle_at_l603():
+    """At the chain's L = 603 root set (p = 201) the sorted-angle row sums
+    agree with the p x p matrix sums far below SOLVER_TOL (a row sum taken
+    in double instead of extended precision drifts ~7e-14 on this chain)."""
+    roots = solve_gap_chain(603)[603]
+    assert roots.p == 201
+    K = np.concatenate((roots.branch_integers, roots.second_integers))
+    _assert_matches_matrix_oracle(roots.big_z, roots.big_y, 603, K, 1e-14)
+
+
+def test_residual_matches_matrix_oracle_with_second_level():
+    """A generic p = 40, r = 7 point: the Z-Z, Z-Y and Y-Y blocks, to a few
+    ulps of the residual's size."""
+    Z, Y, I, J = _generic_point(40, 7, seed=47)
+    want = oracles.bethe_residual_matrix(Z, Y, 7, np.concatenate((I, J)))[0]
+    bound = 4 * np.finfo(float).eps * np.max(np.abs(want))
+    _assert_matches_matrix_oracle(Z, Y, 7, np.concatenate((I, J)), bound)
+
+
+def test_residual_with_angles_exactly_pi_apart():
+    """Roots +-a i, +-b (and +-c i, +-d) have angle differences of exactly pi,
+    where the principal log's branch cut decides the wrap count.  Rounding
+    in X_k / X_l can put the matrix oracle's term on either side of the cut,
+    so one term, and its integer, may differ by 2 pi; the re-synced residual
+    does not.  With Ln(-1) = i pi every row's angle sum is exactly pi."""
+    Z = np.array([0.7j, -0.7j, 1.3, -1.3])
+    Y = np.array([2.5j, -2.5j, 3.0, -3.0])
+    for X in (Z, Y):
+        np.testing.assert_allclose(
+            bethe._log_ratio_row_sums(X).imag.astype(float), np.pi,
+            rtol=0, atol=1e-15)
+    for y in (Y[:0], Y):
+        F = _log_residual(Z, y, 7)[0]
+        want = oracles.bethe_residual_matrix(Z, y, 7)[0]
+        bound = 4 * np.finfo(float).eps * np.max(np.abs(want))
+        assert np.max(np.abs(F - want)) <= bound
+
+
 @pytest.mark.parametrize("p, r", [(3, 0), (3, 2)])
 def test_jacobian_matches_central_difference(p, r):
     Z, Y, I, J = _generic_point(p, r, seed=p + 5 * r)
@@ -346,6 +396,26 @@ def test_ln_beta_solve_logs_each_size(caplog):
         length, iterations, last_step = rec.args
         assert rec.levelno == logging.DEBUG
         assert 1 <= iterations <= 50 and last_step <= 1e-12
+
+
+def test_newton_logs_each_solve(caplog):
+    """One DEBUG record per converged solve: L, p, Newton steps, line-search
+    halvings and the final residual, which is the stored one."""
+    with caplog.at_level(logging.DEBUG, logger="tasep2.bethe"):
+        chain = solve_gap_chain(15)
+        roots = solve_bethe(6, 2, 0, branch_integers=[-1, 0])
+    records = [r for r in caplog.records if "Newton solve" in r.getMessage()]
+    assert [r.args[:2] for r in records] == [(6, 2), (9, 3), (12, 4),
+                                             (15, 5), (6, 2)]
+    for rec, res in zip(records, [chain[l].residual_norm for l in chain]
+                        + [roots.residual_norm]):
+        length, p, steps, halvings, residual = rec.args
+        assert rec.levelno == logging.DEBUG
+        assert steps >= 0 and halvings >= 0 and residual == res <= SOLVER_TOL
+    assert records[-1].args[2] >= 1  # the multistart needs Newton steps
+    for rec in records:
+        assert "roundoff floor" not in rec.getMessage()
+        assert "ln beta" not in rec.getMessage()
 
 
 def test_newton_accepts_at_roundoff_floor_and_logs(gap6, caplog):
