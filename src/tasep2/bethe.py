@@ -51,11 +51,15 @@ theta = Arg X in (-pi, pi],
 n+_k and n-_k counting the l with theta_k - theta_l > pi and <= -pi (one
 `searchsorted` on the sorted angles).  Rows add terms up to ~L before they
 cancel, so the logs and row sums are carried in extended precision where the
-platform has it.  A solve converges at a max-norm
-residual <= SOLVER_TOL = 1e-13.  The one fallback: when the line search
-cannot lower the residual but it is already below the roundoff floor
-eps * (L + p + r) * max|log term|, the roots are accepted, the residual
-reached is stored in `residual_norm`, and the acceptance is logged at DEBUG.
+platform has it.  A solve converges at a max-norm residual <= SOLVER_TOL =
+1e-13.  The one fallback: when the line search cannot lower the residual but
+it is already below the roundoff floor eps * (L + p + r) * max|log term|, the
+roots are accepted, the residual reached is stored in `residual_norm`, and
+the acceptance is logged at DEBUG.
+
+The one pole rule: a root on a pole (Z = 0, Z = 1, Y = 0 or Y_j = Z_k) makes
+a residual row infinite or NaN, and the residual raises `SingularRootError`.
+Coinciding roots leave it finite; `solve_bethe` rejects them after a solve.
 
 The generator eigenvalue of any root set is E_gen = p - sum_k Z_k/(Z_k - 1)
 (`energy_from_roots`); at the gap state this is p - sum_k s_k.  In the
@@ -87,7 +91,7 @@ class BetheError(RuntimeError):
 
 
 class SingularRootError(BetheError):
-    """A root hit a pole of the equations (Z=0, Z=1, collision, Y=Z)."""
+    """A residual row is not finite: a root on a pole (module docstring)."""
 
 
 class NewtonDivergenceError(BetheError):
@@ -163,33 +167,6 @@ class BetheRootSet:
 # ---------------------------------------------------------------------------
 # residuals
 
-_SINGULAR_TOL = 1e-14
-_POLES = np.array([0.0, 1.0], dtype=complex)
-
-
-def _check_args(Z, Y):
-    """Raise `SingularRootError` when a root sits on a pole of the equations
-    (Z = 0, Z = 1, Z_k = Z_l, Y_j = Z_k or Y_j = Y_n)."""
-    p, r = len(Z), len(Y)
-    # distances of every Z_k to 0, 1, the other Z and the Y, in one matrix
-    d = np.abs(Z[:, None] - np.concatenate((_POLES, Z, Y)))
-    d.ravel()[2::p + r + 3] = np.inf
-    if p and d.min() < _SINGULAR_TOL:
-        k, c = np.unravel_index(np.argmin(d), d.shape)
-        if c == 0:
-            raise SingularRootError("a first-level root hit Z = 0")
-        if c == 1:
-            raise SingularRootError(f"root Z_{k} hit the pole Z = 1")
-        if c < p + 2:
-            raise SingularRootError(f"coinciding roots Z_{k} = Z_{c - 2}")
-        raise SingularRootError("second-level root collided with Z")
-    if r > 1:
-        d = np.abs(Y[:, None] - Y)
-        np.fill_diagonal(d, np.inf)
-        if d.min() < _SINGULAR_TOL:
-            raise SingularRootError("coinciding second-level roots")
-
-
 _EXT = np.clongdouble  # x87 long double on x86; see the module docstring
 _PI_EXT = 4 * np.arctan(np.longdouble(1))
 _MINUS_PLUS_PI = np.array([[-_PI_EXT], [_PI_EXT]])
@@ -214,19 +191,25 @@ def _log_residual(Z, Y, length, K=None):
     With K = None the integers are re-synced to the principal logarithms:
     K = round(Im F0 / 2 pi) for the residual F0 taken with K = 0.  The
     log-ratio sums are `_log_ratio_row_sums`; the p x r terms
-    ln(Y_j / (Y_j - Z_k)) are summed in extended precision.
+    ln(Y_j / (Y_j - Z_k)) are summed in extended precision.  A row that is
+    not finite raises `SingularRootError`, before any re-sync.
     """
-    _check_args(Z, Y)
     p, r = len(Z), len(Y)
-    Ze = Z.astype(_EXT)
-    F = length * np.log(Ze / (Ze - 1)) - _log_ratio_row_sums(Z)
-    half_turns = p - 1  # the -i pi (p - 1) of a first-level row
-    if r:
-        W = np.log(Y / (Y - Z[:, None]))  # W[k, j] = ln(Y_j / (Y_j - Z_k))
-        F -= W.sum(axis=1, dtype=_EXT)
-        F = np.concatenate((F, W.sum(axis=0, dtype=_EXT)
-                            - _log_ratio_row_sums(Y)))
-        half_turns = np.repeat((p - 1, r - 1), (p, r))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Ze = Z.astype(_EXT)
+        F = length * np.log(Ze / (Ze - 1)) - _log_ratio_row_sums(Z)
+        half_turns = p - 1  # the -i pi (p - 1) of a first-level row
+        if r:
+            W = np.log(Y / (Y - Z[:, None]))  # W[k, j] = ln(Y_j/(Y_j - Z_k))
+            F -= W.sum(axis=1, dtype=_EXT)
+            F = np.concatenate((F, W.sum(axis=0, dtype=_EXT)
+                                - _log_ratio_row_sums(Y)))
+            half_turns = np.repeat((p - 1, r - 1), (p, r))
+    bad = np.flatnonzero(~np.isfinite(F))
+    if len(bad):
+        row = f"Z_{bad[0]}" if bad[0] < p else f"Y_{bad[0] - p}"
+        raise SingularRootError(f"residual row {row} is not finite: a root "
+                                "on a pole")
     if K is None:
         K = np.rint((F.imag / _PI_EXT - half_turns) / 2).astype(int)
     F.imag -= _PI_EXT * (half_turns + 2 * K)
@@ -271,29 +254,28 @@ def bethe_residual(roots):
 # ---------------------------------------------------------------------------
 # Newton solver
 
-def _newton(Z0, Y0, length, I=None, J=None, tol=SOLVER_TOL):
+def _newton(Z0, Y0, length, I=None, J=None):
     """Damped Newton on the log-form system; the one solver of this module.
 
     The branch integers (I, J) stay fixed; with I = None they are taken from
     the principal logarithms at the start point (see `_log_residual`).  A
     line search that cannot lower the residual ends the solve.
 
-    Converged means a max-norm residual <= tol.  A failed line search also
-    ends the solve, as converged, when the residual is already below the
-    roundoff floor of the log sums (`_roundoff_floor`).  A converged solve
+    Converged means a max-norm residual <= SOLVER_TOL.  A failed line search
+    also ends the solve, as converged, when the residual is already below
+    the roundoff floor of the log sums (`_roundoff_floor`).  A converged solve
     logs L, p, its Newton steps, their line-search halvings and the final
     residual at DEBUG.  Returns (Z, Y, I, J, residual_norm) or raises a
     `BetheError`.
     """
-    Z = np.array(Z0, dtype=complex)
-    Y = np.array(Y0, dtype=complex)
+    Z, Y = np.array(Z0, dtype=complex), np.array(Y0, dtype=complex)
     p = len(Z)
     F, K = _log_residual(Z, Y, length,
                          None if I is None else np.concatenate((I, J)))
     nrm = float(np.abs(F).max())
     steps = halvings = 0
     for _ in range(200):
-        if nrm <= tol:
+        if nrm <= SOLVER_TOL:
             break
         try:
             step = np.linalg.solve(_jacobian(Z, Y, length), -F)
@@ -316,12 +298,12 @@ def _newton(Z0, Y0, length, I=None, J=None, tol=SOLVER_TOL):
             if nrm <= floor:
                 logger.debug("L=%s, p=%d: accepted at the roundoff floor, "
                              "residual %.3e > tol %.1e, floor %.3e",
-                             length, p, nrm, tol, floor)
+                             length, p, nrm, SOLVER_TOL, floor)
                 break
             raise NewtonDivergenceError(
                 f"line search stalled at residual {nrm:.3e}")
     else:
-        if nrm > tol:
+        if nrm > SOLVER_TOL:
             raise NewtonDivergenceError(
                 f"iteration budget exhausted at residual {nrm:.3e}")
     logger.debug("L=%s, p=%d: Newton solve in %d steps, %d halvings, "

@@ -86,8 +86,7 @@ def _add_common(sub):
 
 
 def _outdir(args):
-    base = args.output_dir or os.environ.get("TASEP2_OUTPUT_DIR", ".")
-    path = Path(base)
+    path = Path(args.output_dir or os.environ.get("TASEP2_OUTPUT_DIR", "."))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -233,8 +232,7 @@ def cmd_check(args):
     if not results:
         raise ValueError("nothing to check: pass --yang-baxter, "
                          "--transfer-hamiltonian, or --all")
-    results["pass"] = all(v["pass"] for v in results.values()
-                          if isinstance(v, dict))
+    results["pass"] = all(v["pass"] for v in results.values())
     _write_json(out / "check_report.json", results, args.force)
     print(json.dumps({"pass": results["pass"]}))
     return EXIT_OK if results["pass"] else EXIT_NUMERICAL

@@ -15,11 +15,11 @@ A generator that is already a momentum block is solved as it is.
 
 `dense_spectrum` returns every eigenvalue; its `dense_limit` bounds the
 largest block handed to LAPACK, not the sector dimension.  `krylov_gap`
-returns the min(n_eigs, dim - 2) eigenvalues of the sector nearest `sigma`,
+returns the min(N_EIGS, dim - 2) eigenvalues of the sector nearest SIGMA,
 taken from the union of each block's nearest ones, so they are the same
 eigenvalues a shift-invert solve of the undivided sector would target.
 
-Each block's H - sigma I is assembled in CSC from its triplets and factored
+Each block's H - SIGMA I is assembled in CSC from its triplets and factored
 once by SuperLU with minimum-degree ordering on A + A^T (`MMD_AT_PLUS_A`) in
 symmetric mode, which keeps partial pivoting but skips the unsymmetric column
 elimination tree: the same L + U nonzeros, fewer padded supernode entries
@@ -43,6 +43,10 @@ logger = logging.getLogger(__name__)
 
 ZERO_TOL = 1e-10
 DENSE_LIMIT = 4000
+N_EIGS = 8  # eigenvalues `krylov_gap` returns
+SIGMA = 1e-3  # shift, just off the zero mode
+ARNOLDI_TOL = 1e-12  # ARPACK's relative tolerance
+RESIDUAL_TOL = 1e-10  # bound on every returned eigenpair's residual
 
 
 class ConvergenceError(RuntimeError):
@@ -140,12 +144,12 @@ def dense_spectrum(gen, dense_limit=DENSE_LIMIT):
     return _result(gen, _solve_blocks(gen, solve), "dense")
 
 
-def _arnoldi(gen, k, sigma, tol, residual_tol, v0):
-    """The k eigenvalues of one block nearest sigma, residuals checked."""
+def _arnoldi(gen, k, v0):
+    """The k eigenvalues of one block nearest SIGMA, residuals checked."""
     n = gen.dimension
     mat = gen.to_csr()
     diag = np.arange(n)
-    shifted = sp.csc_matrix((np.r_[gen.vals, np.full(n, -sigma)],
+    shifted = sp.csc_matrix((np.r_[gen.vals, np.full(n, -SIGMA)],
                              (np.r_[gen.rows, diag], np.r_[gen.cols, diag])),
                             shape=(n, n))
     start = time.perf_counter()
@@ -155,49 +159,45 @@ def _arnoldi(gen, k, sigma, tol, residual_tol, v0):
                  n, len(gen.vals), lu.nnz, time.perf_counter() - start)
     op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=mat.dtype)
     try:
-        vals, vecs = spla.eigs(mat, k=k, sigma=sigma, OPinv=op, which="LM",
-                               v0=v0, tol=tol)
+        vals, vecs = spla.eigs(mat, k=k, sigma=SIGMA, OPinv=op, which="LM",
+                               v0=v0, tol=ARNOLDI_TOL)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"Arnoldi did not converge for dimension {n}: {exc}"
         ) from exc
-    resid = np.empty(k)
-    for i in range(k):
-        v = vecs[:, i]
-        resid[i] = np.linalg.norm(mat @ v - vals[i] * v) / np.linalg.norm(v)
-    bad = resid > residual_tol
+    resid = (np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
+             / np.linalg.norm(vecs, axis=0))
+    bad = resid > RESIDUAL_TOL
     if np.any(bad):
         raise ConvergenceError(
-            f"eigenpair residuals above {residual_tol}: {resid[bad]}"
+            f"eigenpair residuals above {RESIDUAL_TOL}: {resid[bad]}"
         )
     return np.asarray(vals, dtype=complex)
 
 
-def krylov_gap(gen, seed=0, n_eigs=8, sigma=1e-3, tol=1e-12,
-               residual_tol=1e-10):
-    """Gap and the min(n_eigs, dim - 2) eigenvalues nearest `sigma` by
+def krylov_gap(gen, seed=0):
+    """Gap and the min(N_EIGS, dim - 2) eigenvalues nearest SIGMA by
     shift-inverted Arnoldi, one momentum block at a time.
 
     The shift sits just off the known zero mode so the factorized matrix is
     nonsingular; the zero eigenvalue is recovered and counted in
     `zero_count`.  The start vectors are drawn from one generator seeded
     with `seed`, in block order, and every Arnoldi eigenpair is checked
-    against `residual_tol` (failure raises, never a silent wrong answer).
+    against RESIDUAL_TOL (failure raises, never a silent wrong answer).
     A block with fewer than k + 2 states is solved densely, since ARPACK
     cannot return all its eigenvalues.
     """
     n = gen.dimension
     if n < 3:
         raise ValueError("block too small for Krylov iteration; use dense_spectrum")
-    k = min(n_eigs, n - 2)
+    k = min(N_EIGS, n - 2)
     rng = np.random.default_rng(seed)
 
     def solve(blk):
         if blk.dimension < k + 2:
             return _dense_eigvals(blk)
-        return _arnoldi(blk, k, sigma, tol, residual_tol,
-                        rng.standard_normal(blk.dimension))
+        return _arnoldi(blk, k, rng.standard_normal(blk.dimension))
 
     vals = _solve_blocks(gen, solve)
-    vals = vals[np.argsort(np.abs(vals - sigma), kind="stable")[:k]]
+    vals = vals[np.argsort(np.abs(vals - SIGMA), kind="stable")[:k]]
     return _result(gen, vals, "krylov")

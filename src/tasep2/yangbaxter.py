@@ -136,20 +136,22 @@ def _invert_tau0(tau0):
     return np.round(dense.real).T.astype(float)
 
 
-def hamiltonian_from_transfer(length, step=1e-4):
+def hamiltonian_from_transfer(length):
     """d(log tau)/dtheta at theta = 0 as a dense matrix (length <= 6).
 
-    Central differences with one Richardson level; tau(0) inverted by
-    permutation transpose (it is the translation operator).
+    The R-matrix entries are e^theta, 2 sinh theta and e^-theta, so tau is a
+    Laurent polynomial of degree <= L in e^theta with real coefficients, and
+    tau'(0) = 2 Re sum_{m=1..L} w_m tau(2 pi i m / N) exactly, with N = 2L + 1
+    and w_m = (1/N) sum_{|n| <= L} n e^{-2 pi i m n / N}.  tau(0) is inverted
+    by permutation transpose (it is the translation operator).
     """
     if length > 6:
         raise ValueError("dense logarithmic derivative limited to L <= 6")
-    tau = lambda th: np.asarray(transfer_trace(length, th).todense())
-    d1 = (tau(step) - tau(-step)) / (2.0 * step)
-    d2 = (tau(step / 2) - tau(-step / 2)) / step
-    dtau = (4.0 * d2 - d1) / 3.0
-    inv0 = _invert_tau0(transfer_trace(length, 0.0))
-    return dtau @ inv0
+    n = np.arange(-length, length + 1)
+    angles = 2.0 * np.pi * np.arange(1, length + 1) / len(n)
+    dtau = sum(np.mean(n * np.exp(-1j * a * n)) * transfer_trace(length, 1j * a)
+               for a in angles)
+    return 2.0 * dtau.real.toarray() @ _invert_tau0(transfer_trace(length, 0.0))
 
 
 def transfer_hamiltonian_check(length):

@@ -4,6 +4,7 @@ product-form identities."""
 import io
 import json
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,27 @@ def test_singularity_reported():
                          second_integers=np.zeros(0, int))
     with pytest.raises(SingularRootError, match="Z_0"):
         bethe_residual(roots)
+
+
+@pytest.mark.parametrize("z, y, row", [
+    ([0.0, np.exp(0.6 + 0.4j)], [], "Z_0"),        # Z_0 = 0
+    ([np.exp(0.6 + 0.4j), 1.0], [], "Z_1"),        # Z_1 = 1
+    ([1.5j, -1.5, 0.5 - 1j], [-1.5], "Z_1"),       # Y_0 = Z_1
+    ([1.5j, -1.5, 0.5 - 1j], [2.0, 0.0], "Z_0"),   # Y_1 = 0
+])
+def test_pole_raises_without_warnings(z, y, row):
+    """A root on a pole gives a residual row that is not finite, which
+    raises `SingularRootError` naming it; no RuntimeWarning escapes."""
+    roots = BetheRootSet(length=9, big_z=np.array(z, complex),
+                         big_y=np.array(y, complex),
+                         branch_integers=np.zeros(len(z), int),
+                         second_integers=np.zeros(len(y), int))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularRootError, match=f"row {row} "):
+            bethe_residual(roots)
+        with pytest.raises(SingularRootError, match=f"row {row} "):
+            _log_residual(roots.big_z, roots.big_y, 9)  # integer re-sync
 
 
 def test_solver_determinism():
@@ -418,13 +440,15 @@ def test_newton_logs_each_solve(caplog):
         assert "ln beta" not in rec.getMessage()
 
 
-def test_newton_accepts_at_roundoff_floor_and_logs(gap6, caplog):
+def test_newton_accepts_at_roundoff_floor_and_logs(gap6, caplog,
+                                                   monkeypatch):
     """An unreachable tolerance ends at the roundoff floor, not in an error,
     and says so at DEBUG."""
     Z, Y = gap6.big_z, gap6.big_y
+    monkeypatch.setattr(bethe, "SOLVER_TOL", 0.0)
     with caplog.at_level(logging.DEBUG, logger="tasep2.bethe"):
         Z1, _, I1, _, res = _newton(Z, Y, 6, gap6.branch_integers,
-                                    gap6.second_integers, tol=0.0)
+                                    gap6.second_integers)
     assert 0.0 < res <= _roundoff_floor(Z1, Y, 6)
     np.testing.assert_array_equal(I1, gap6.branch_integers)
     assert "roundoff floor" in caplog.text

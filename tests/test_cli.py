@@ -148,6 +148,20 @@ def test_bethe_numerical_failure_exit_code(tmp_path):
     assert rc == cli.EXIT_NUMERICAL
 
 
+def test_bethe_seed_file_root_on_pole_exit_code(tmp_path, capsys):
+    """A seed root at Z = 1 (lambda = 0) is a numerical failure that names
+    the residual row the pole made infinite."""
+    run(["bethe", "--length", "6", "--output-dir", str(tmp_path)])
+    data = json.loads((tmp_path / "roots_L6.json").read_text())
+    data["lambda"][0] = [0.0, 0.0]
+    (tmp_path / "pole.json").write_text(json.dumps(data))
+    rc = run(["bethe", "--length", "6", "--from-file",
+              str(tmp_path / "pole.json"),
+              "--output-dir", str(tmp_path / "again")])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "residual row Z_0 is not finite" in capsys.readouterr().err
+
+
 def test_overwrite_refused_without_force(tmp_path):
     assert run(["bethe", "--length", "6", "--output-dir", str(tmp_path)]) == 0
     rc = run(["bethe", "--length", "6", "--output-dir", str(tmp_path)])

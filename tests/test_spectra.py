@@ -124,20 +124,20 @@ def test_krylov_matches_dense_l9(spectrum_l9_equal):
 
 def test_krylov_full_sector_returns_eigenvalues_nearest_sigma(
         direct_eigs_l9, spectrum_l10_equal):
-    """The block union keeps the n_eigs eigenvalues of the whole sector
-    nearest sigma.  When the n_eigs-th and the next one are a conjugate pair
+    """The block union keeps the N_EIGS eigenvalues of the whole sector
+    nearest SIGMA.  When the N_EIGS-th and the next one are a conjugate pair
     at equal distance, either may be returned.  The (5,2,1) blocks (dim 6)
     are too small for ARPACK and are solved densely.  At L=10 the reference
     is the dense block union, which the tests above check against direct
     LAPACK."""
-    n_eigs, sigma = 8, 1e-3
+    n_eigs, sigma = spectra.N_EIGS, spectra.SIGMA
     small = build_hamiltonian_tasep(5, Sector(5, 2, 1))
     cases = ((small, scipy.linalg.eigvals(small.to_dense())),
              (build_hamiltonian_tasep(9, Sector(9, 3, 3)), direct_eigs_l9),
              (build_hamiltonian_tasep(10, Sector(10, 3, 3)),
               spectrum_l10_equal.eigenvalues))
     for gen, ref in cases:
-        res = krylov_gap(gen, seed=0, n_eigs=n_eigs, sigma=sigma)
+        res = krylov_gap(gen, seed=0)
         ref = ref[np.argsort(np.abs(ref - sigma), kind="stable")]
         assert res.zero_count == 1
         np.testing.assert_allclose(np.sort(np.abs(res.eigenvalues - sigma)),
@@ -168,10 +168,11 @@ def test_krylov_on_momentum_block():
     assert abs(best.real - full_gap.real) <= 1e-10
 
 
-def test_krylov_residual_contract_raises():
+def test_krylov_residual_contract_raises(monkeypatch):
     gen = build_hamiltonian_tasep(6, Sector(6, 2, 2))
+    monkeypatch.setattr(spectra, "RESIDUAL_TOL", 1e-18)
     with pytest.raises(ConvergenceError):
-        krylov_gap(gen, seed=0, residual_tol=1e-18)
+        krylov_gap(gen, seed=0)
 
 
 def test_krylov_logs_each_factored_block(caplog):
