@@ -15,7 +15,6 @@ from .lattice import (
 )
 from .spectra import ConvergenceError, SpectrumResult, dense_spectrum, krylov_gap
 from .yangbaxter import (
-    TransferMatrix,
     build_transfer_matrix,
     check_yang_baxter,
     hamiltonian_from_transfer,
@@ -54,7 +53,6 @@ __all__ = [
     "Sector",
     "SectorGenerator",
     "SpectrumResult",
-    "TransferMatrix",
     "all_sectors",
     "bethe_residual",
     "bst_extrapolate",

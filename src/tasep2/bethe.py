@@ -104,7 +104,7 @@ class NewtonDivergenceError(BetheError):
 @dataclass
 class BetheRootSet:
     """A solved root set, Z and Y as the solver returned them (sorted by
-    Arg Z); lambda = ln(Z)/2 is derived."""
+    Arg Z)."""
 
     length: int
     big_z: np.ndarray
@@ -121,10 +121,6 @@ class BetheRootSet:
     def r(self):
         return len(self.big_y)
 
-    @property
-    def lam(self):
-        return 0.5 * np.log(self.big_z)
-
     @classmethod
     def from_big_z(cls, length, big_z, big_y, branch_integers,
                    second_integers=None, residual_norm=np.nan):
@@ -132,36 +128,6 @@ class BetheRootSet:
         J = np.zeros(0, int) if second_integers is None else second_integers
         return cls(length, big_z[order], big_y, branch_integers[order], J,
                    residual_norm)
-
-    def to_json_dict(self):
-        # lambda, Lambda = ln(Y)/2 and E_raw = L + 2p - 2 E_gen are derived
-        e = self.length + 2.0 * self.p - 2.0 * energy_from_roots(self)
-        return {
-            "L": self.length, "p": self.p, "r": self.r,
-            "I": [int(i) for i in self.branch_integers],
-            "J": [int(j) for j in self.second_integers],
-            "lambda": [[x.real, x.imag] for x in self.lam],
-            "Lambda": [[x.real, x.imag] for x in 0.5 * np.log(self.big_y)],
-            "energy_raw": [e.real, e.imag],
-            "residual_norm": self.residual_norm,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        lam = np.array([complex(a, b) for a, b in d["lambda"]], dtype=complex)
-        Lam = np.array([complex(a, b) for a, b in d["Lambda"]], dtype=complex)
-        return cls(
-            length=d["L"], big_z=np.exp(2.0 * lam), big_y=np.exp(2.0 * Lam),
-            branch_integers=np.asarray(d["I"], dtype=int),
-            second_integers=np.asarray(d["J"], dtype=int),
-            residual_norm=d.get("residual_norm", np.nan),
-        )
-
-    def write_curve_csv(self, stream, plane="big_z"):
-        """`re,im` per line for the requested root plane (big_z or lambda)."""
-        roots = self.big_z if plane == "big_z" else self.lam
-        for x in roots:
-            stream.write(f"{x.real:.17g},{x.imag:.17g}\n")
 
 
 # ---------------------------------------------------------------------------

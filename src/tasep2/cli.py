@@ -1,5 +1,9 @@
 """Command-line interface: diag / bethe / scale / check subcommands.
 
+This module writes every report and reads the root sets of `--from-file`;
+the numerics modules return numbers and open no files.  The text reports are
+rows of numbers written with `.17g`, which parses back to the same double.
+
 Every command accepts --seed and --output-dir (default from
 TASEP2_OUTPUT_DIR), and refuses to overwrite existing files unless --force
 is given.  `scale` and `bethe --length` without `--integers` are
@@ -27,10 +31,6 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _fmt(x):
-    return float(f"{x:.17g}")
-
-
 def _open_out(path, force):
     if path.exists() and not force:
         raise FileExistsError(f"refusing to overwrite {path} (use --force)")
@@ -41,6 +41,58 @@ def _write_json(path, payload, force):
     with _open_out(path, force) as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
+
+
+def _write_rows(path, force, header, rows):
+    """The text `header`, then one line per row of numbers, each with .17g:
+    space-separated in a .txt file, comma-separated in a .csv."""
+    sep = " " if path.suffix == ".txt" else ","
+    with _open_out(path, force) as f:
+        f.write(header)
+        f.writelines(sep.join(f"{x:.17g}" for x in row) + "\n"
+                     for row in rows)
+
+
+def _re_im(values):
+    return [[x.real, x.imag] for x in values]
+
+
+def _roots_payload(roots):
+    """roots.json of a root set: the paper's variables lambda = ln(Z)/2,
+    Lambda = ln(Y)/2 and E_raw = L + 2p - 2 E_gen, the generator eigenvalue
+    E_gen, and the band of |Z| and |lambda| (empty, [inf, 0], for p = 0)."""
+    lam = 0.5 * np.log(roots.big_z)
+    energy = bethe.energy_from_roots(roots)
+    e_raw = roots.length + 2.0 * roots.p - 2.0 * energy
+    abs_z, abs_lam = np.abs(roots.big_z), np.abs(lam)
+    return {
+        "L": roots.length, "p": roots.p, "r": roots.r,
+        "I": [int(i) for i in roots.branch_integers],
+        "J": [int(j) for j in roots.second_integers],
+        "lambda": _re_im(lam),
+        "Lambda": _re_im(0.5 * np.log(roots.big_y)),
+        "energy_raw": [e_raw.real, e_raw.imag],
+        "residual_norm": roots.residual_norm,
+        "energy": [energy.real, energy.imag],
+        "band": {"abs_Z_min": abs_z.min(initial=np.inf),
+                 "abs_Z_max": abs_z.max(initial=0.0),
+                 "abs_lambda_min": abs_lam.min(initial=np.inf),
+                 "abs_lambda_max": abs_lam.max(initial=0.0)},
+    }
+
+
+def _read_roots(path):
+    """The root set of a roots.json report; a missing key is a ValueError."""
+    data = json.loads(Path(path).read_text())
+    try:
+        big_z, big_y = (np.exp(2.0 * np.array(
+            [complex(a, b) for a, b in data[key]], dtype=complex))
+            for key in ("lambda", "Lambda"))
+        return bethe.BetheRootSet(
+            data["L"], big_z, big_y, np.asarray(data["I"], dtype=int),
+            np.asarray(data["J"], dtype=int), data.get("residual_norm", np.nan))
+    except KeyError as exc:
+        raise ValueError(f"{path} has no key {exc}") from None
 
 
 def _load_config(path, parsers):
@@ -100,10 +152,14 @@ def cmd_diag(args):
         result = spectra.krylov_gap(gen, seed=args.seed)
     else:
         result = spectra.dense_spectrum(gen)
-    payload = result.summary()
-    payload["dimension"] = gen.dimension
-    payload["zero_count"] = result.zero_count
-    payload["frozen"] = result.gap is None
+    gap = result.gap
+    payload = {"L": args.length, "n_A": args.na, "n_B": args.nb,
+               "k": args.momentum,
+               "gap_re": None if gap is None else gap.real,
+               "gap_im": None if gap is None else gap.imag,
+               "method": "krylov" if args.krylov else "dense",
+               "dimension": gen.dimension, "zero_count": result.zero_count,
+               "frozen": gap is None}
     out = _outdir(args)
     suffix = "" if args.momentum is None else f"_k{args.momentum}"
     stem = f"diag_L{args.length}_na{args.na}_nb{args.nb}{suffix}"
@@ -116,9 +172,9 @@ def cmd_diag(args):
     else:
         _write_json(out / f"{stem}.json", payload, args.force)
     if args.spectrum:
-        with _open_out(out / f"spectrum_L{args.length}_na{args.na}"
-                             f"_nb{args.nb}{suffix}.txt", args.force) as f:
-            result.export_spectrum(f)
+        _write_rows(out / f"spectrum_L{args.length}_na{args.na}"
+                          f"_nb{args.nb}{suffix}.txt", args.force, "",
+                    _re_im(result.eigenvalues))
     print(json.dumps(payload))
     return EXIT_OK
 
@@ -126,8 +182,7 @@ def cmd_diag(args):
 def cmd_bethe(args):
     seed_roots = None
     if args.from_file:
-        with open(args.from_file) as f:
-            seed_roots = bethe.BetheRootSet.from_json_dict(json.load(f))
+        seed_roots = _read_roots(args.from_file)
     integers, second = args.integers, args.second_integers
     r = args.second_roots
     if integers is None and seed_roots is not None:
@@ -145,21 +200,12 @@ def cmd_bethe(args):
                                   second_integers=second,
                                   seed_roots=seed_roots, seed=args.seed)
     out = _outdir(args)
-    payload = roots.to_json_dict()
-    energy = bethe.energy_from_roots(roots)
-    payload["energy"] = [_fmt(energy.real), _fmt(energy.imag)]
-    big_z = roots.big_z
-    payload["band"] = {
-        "abs_Z_min": _fmt(np.min(np.abs(big_z))),
-        "abs_Z_max": _fmt(np.max(np.abs(big_z))),
-        "abs_lambda_min": _fmt(np.min(np.abs(roots.lam))),
-        "abs_lambda_max": _fmt(np.max(np.abs(roots.lam))),
-    }
+    payload = _roots_payload(roots)
     _write_json(out / f"roots_L{args.length}.json", payload, args.force)
-    with _open_out(out / f"curve_Z_L{args.length}.csv", args.force) as f:
-        roots.write_curve_csv(f, plane="big_z")
-    with _open_out(out / f"curve_lambda_L{args.length}.csv", args.force) as f:
-        roots.write_curve_csv(f, plane="lambda")
+    _write_rows(out / f"curve_Z_L{args.length}.csv", args.force, "",
+                _re_im(roots.big_z))
+    _write_rows(out / f"curve_lambda_L{args.length}.csv", args.force, "",
+                payload["lambda"])
     print(json.dumps({"L": args.length, "p": roots.p, "r": roots.r,
                       "energy_re": payload["energy"][0],
                       "energy_im": payload["energy"][1],
@@ -175,27 +221,23 @@ def cmd_scale(args):
         # retain whatever prefix of the chain converged, then fail loudly
         sys.stderr.write(f"scaling study aborted: {exc}\n")
         chain = exc.chain or {}
-        series = scaling.GapSeries(
-            [(l, bethe.energy_from_roots(chain[l]).real)
-             for l in range(args.frm, args.to + 4, 3) if l in chain])
-        with _open_out(out / "gap_series.csv", args.force) as f:
-            series.write_csv(f)
+        _write_rows(out / "gap_series.csv", args.force, "L,gap_re\n",
+                    [(l, bethe.energy_from_roots(chain[l]).real)
+                     for l in range(args.frm, args.to + 4, 3) if l in chain])
         return EXIT_NUMERICAL
-    with _open_out(out / "gap_series.csv", args.force) as f:
-        report["series"].write_csv(f)
-    with _open_out(out / "extrapolants.csv", args.force) as f:
-        f.write("L,extrapolant\n")
-        for l, e in report["extrapolants"]:
-            f.write(f"{l},{e:.17g}\n")
+    _write_rows(out / "gap_series.csv", args.force, "L,gap_re\n",
+                report["series"].entries)
+    _write_rows(out / "extrapolants.csv", args.force, "L,extrapolant\n",
+                report["extrapolants"])
     tab = report["tableau"]
     payload = {
-        "z_estimate": _fmt(report["z_estimate"]),
-        "error": _fmt(report["error"]),
+        "z_estimate": report["z_estimate"],
+        "error": report["error"],
         "omega": tab.omega,
-        "limit": _fmt(tab.limit),
+        "limit": tab.limit,
         "truncated": tab.truncated,
-        "table": [[_fmt(x) for x in col] for col in tab.table],
-        "extrapolants": {str(l): _fmt(e) for l, e in report["extrapolants"]},
+        "table": tab.table,
+        "extrapolants": {str(l): e for l, e in report["extrapolants"]},
     }
     _write_json(out / "scaling_report.json", payload, args.force)
     print(json.dumps({"z_estimate": payload["z_estimate"],
@@ -214,10 +256,9 @@ def cmd_check(args):
             th /= np.maximum(1.0, np.abs(th))
             res = yangbaxter.check_yang_baxter(*th)
             worst = max(worst, res)
-            triples.append({"theta": [[t.real, t.imag] for t in th],
-                            "residual": _fmt(res)})
+            triples.append({"theta": _re_im(th), "residual": res})
         results["yang_baxter"] = {
-            "max_residual": _fmt(worst),
+            "max_residual": worst,
             "n_triples": args.triples,
             "pass": worst <= 1e-12,
             "triples": triples,

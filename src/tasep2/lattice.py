@@ -89,26 +89,6 @@ class SectorGenerator:
         return np.asarray(self.to_csr().sum(axis=0)).ravel()
 
 
-def _sorted_coo(key, vals, dimension):
-    """Deterministic (row, col)-sorted duplicate-free COO from the entry keys
-    row * dimension + col, summing duplicates and dropping zeros (orbit
-    folding in `momentum_blocks` makes both); rows and cols come back from
-    the sorted keys, so only the keys and values are ever permuted."""
-    if len(key) == 0:
-        return key, key.copy(), vals
-    order = np.argsort(key, kind="stable")
-    key, vals = key[order], vals[order]
-    del order
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    vals = np.add.reduceat(vals, first)
-    keep = np.flatnonzero(vals != 0)
-    key, vals = key[first[keep]], vals[keep]
-    del first, keep
-    rows = key // dimension
-    key %= dimension
-    return rows, key, vals
-
-
 def sector_packs(sector):
     """Packed codes of the sector in ascending order.
 
@@ -246,14 +226,18 @@ def momentum_blocks(gen, momenta):
         if 2 * k % length == 0:
             phases = phases.real.round()
         sel = keep[src] & keep[dst_rep]
-        rows, cols, block_vals = _sorted_coo(
-            index[dst_rep[sel]] * len(rep_rows) + index[src[sel]],
-            vals[sel] * phases[dst_shift[sel]], len(rep_rows))
+        dim = len(rep_rows)
+        # orbit folding makes duplicates and zeros: sum them, drop the zeros
+        coo = sp.coo_array((vals[sel] * phases[dst_shift[sel]],
+                            (index[dst_rep[sel]], index[src[sel]])),
+                           shape=(dim, dim))
+        coo.sum_duplicates()
+        coo.eliminate_zeros()
         blocks.append(SectorGenerator(
             length=length,
             sector=None if sec is None else Sector(sec.length, sec.n_a,
                                                    sec.n_b, momentum=k),
-            dimension=len(rep_rows), rows=rows, cols=cols, vals=block_vals,
+            dimension=dim, rows=coo.row, cols=coo.col, vals=coo.data,
             packs=packs[rep_rows], momentum=k,
         ))
     return blocks

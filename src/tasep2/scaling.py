@@ -45,11 +45,6 @@ class GapSeries:
         if any(b >= a for a, b in zip(gaps, gaps[1:])):
             raise ValueError("gaps must decrease with size")
 
-    def write_csv(self, stream):
-        stream.write("L,gap_re\n")
-        for l, g in self.entries:
-            stream.write(f"{l},{g:.17g}\n")
-
 
 def local_exponent(series):
     """(L, extrapolant) for each adjacent pair; values sit near -z."""

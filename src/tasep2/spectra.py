@@ -55,28 +55,9 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class SpectrumResult:
-    sector: object
     eigenvalues: np.ndarray
     gap: complex | None
-    method: str
-    zero_count: int = 0
-
-    def export_spectrum(self, stream):
-        """One `re im` pair per line, 17 significant digits."""
-        for ev in self.eigenvalues:
-            stream.write(f"{ev.real:.17g} {ev.imag:.17g}\n")
-
-    def summary(self):
-        sec = self.sector
-        return {
-            "L": None if sec is None else sec.length,
-            "n_A": None if sec is None else sec.n_a,
-            "n_B": None if sec is None else sec.n_b,
-            "k": None if sec is None else sec.momentum,
-            "gap_re": None if self.gap is None else self.gap.real,
-            "gap_im": None if self.gap is None else self.gap.imag,
-            "method": self.method,
-        }
+    zero_count: int
 
 
 def _sorted_eigs(vals):
@@ -98,15 +79,10 @@ def _pick_gap(vals):
     return complex(pick)
 
 
-def _result(gen, vals, method):
+def _result(vals):
     vals = _sorted_eigs(vals)
-    return SpectrumResult(
-        sector=gen.sector,
-        eigenvalues=vals,
-        gap=_pick_gap(vals),
-        method=method,
-        zero_count=int(np.sum(np.abs(vals) <= ZERO_TOL)),
-    )
+    return SpectrumResult(eigenvalues=vals, gap=_pick_gap(vals),
+                          zero_count=int(np.sum(np.abs(vals) <= ZERO_TOL)))
 
 
 def _solve_blocks(gen, solve):
@@ -141,7 +117,7 @@ def dense_spectrum(gen, dense_limit=DENSE_LIMIT):
             )
         return _dense_eigvals(blk)
 
-    return _result(gen, _solve_blocks(gen, solve), "dense")
+    return _result(_solve_blocks(gen, solve))
 
 
 def _arnoldi(gen, k, v0):
@@ -200,4 +176,4 @@ def krylov_gap(gen, seed=0):
 
     vals = _solve_blocks(gen, solve)
     vals = vals[np.argsort(np.abs(vals - SIGMA), kind="stable")[:k]]
-    return _result(gen, vals, "krylov")
+    return _result(vals)

@@ -22,27 +22,16 @@ logarithmic derivative of the transfer matrix is formed with a permutation
 transpose instead of a linear solve.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.sparse as sp
 
 from .lattice import build_hamiltonian_tasep
 
 
-def weight_a(theta):
-    return np.exp(theta)
-
-
-def weight_c(theta):
-    return 2.0 * np.sinh(theta)
-
-
 def r_tensor(theta):
     """Rank-4 element table T[m, k, i, l] = R^{mk}_{il}(theta)."""
     t = np.zeros((3, 3, 3, 3), dtype=complex)
-    a = weight_a(theta)
-    c = weight_c(theta)
+    a, c = np.exp(theta), 2.0 * np.sinh(theta)
     for al in range(3):
         t[al, al, al, al] = a
         for be in range(3):
@@ -78,21 +67,9 @@ def t_site(theta):
     return np.einsum("ibaj->abij", r_tensor(theta))
 
 
-@dataclass
-class TransferMatrix:
-    length: int
-    theta: complex
-    monodromy: np.ndarray = field(repr=False)  # (3, 3) object array of sparse blocks
-
-    @property
-    def matrix(self):
-        """tau(theta) = sum_i T_ii as a sparse matrix."""
-        return (self.monodromy[0, 0] + self.monodromy[1, 1]
-                + self.monodromy[2, 2]).tocsr()
-
-
 def build_transfer_matrix(length, theta):
-    """Monodromy/transfer matrix on the 3^length chain (length <= 8)."""
+    """Monodromy matrix on the 3^length chain (length <= 8): a (3, 3)
+    object array of sparse blocks T_ab."""
     if length < 1:
         raise ValueError("length must be positive")
     if length > 8:
@@ -115,11 +92,13 @@ def build_transfer_matrix(length, theta):
                     acc = term if acc is None else acc + term
                 new[a, b] = acc
         blocks = new
-    return TransferMatrix(length=length, theta=theta, monodromy=blocks)
+    return blocks
 
 
 def transfer_trace(length, theta):
-    return build_transfer_matrix(length, theta).matrix
+    """tau(theta) = sum_a T_aa as a sparse matrix."""
+    blocks = build_transfer_matrix(length, theta)
+    return (blocks[0, 0] + blocks[1, 1] + blocks[2, 2]).tocsr()
 
 
 def _invert_tau0(tau0):

@@ -15,6 +15,7 @@ from tasep2 import (
     build_hamiltonian_tasep,
     bst_extrapolate,
     check_yang_baxter,
+    cli,
     dense_spectrum,
     energy_from_roots,
     local_exponent,
@@ -117,10 +118,10 @@ def test_criterion_6_root_pattern(gap_chain_36, tmp_path):
         worst_pair = max(worst_pair, float(np.max(np.abs(F))))
         absz = np.abs(roots.big_z)
         bands[length] = (float(absz.min()), float(absz.max()))
-        with open(tmp_path / f"curve_Z_L{length}.csv", "w") as f:
-            roots.write_curve_csv(f, plane="big_z")
-        with open(tmp_path / f"curve_lambda_L{length}.csv", "w") as f:
-            roots.write_curve_csv(f, plane="lambda")
+        cli._write_rows(tmp_path / f"curve_Z_L{length}.csv", False, "",
+                        cli._re_im(roots.big_z))
+        cli._write_rows(tmp_path / f"curve_lambda_L{length}.csv", False, "",
+                        cli._roots_payload(roots)["lambda"])
     ok = worst_pair <= 1e-10
     band_str = ", ".join(f"L={l}: |Z| in [{a:.2f}, {b:.2f}]"
                          for l, (a, b) in bands.items() if l in (6, 21, 36))

@@ -1,7 +1,6 @@
 """Root solver against the exact-diagonalization oracle and its own
 product-form identities."""
 
-import io
 import json
 import logging
 import warnings
@@ -24,7 +23,7 @@ from tasep2 import (
     solve_bethe,
     solve_gap_state,
 )
-from tasep2 import bethe
+from tasep2 import bethe, cli
 from tasep2.bethe import (
     SOLVER_TOL,
     NewtonDivergenceError,
@@ -69,7 +68,7 @@ def test_empty_residual_for_no_roots():
                          branch_integers=np.zeros(0, int),
                          second_integers=np.zeros(0, int))
     assert len(bethe_residual(roots)) == 0
-    assert roots.to_json_dict()["energy_raw"] == [6.0, 0.0]
+    assert cli._roots_payload(roots)["energy_raw"] == [6.0, 0.0]
     assert energy_from_roots(roots) == 0.0
 
 
@@ -518,7 +517,8 @@ def test_continuation_prediction_accuracy(gap_chain_36):
     beta = np.exp(-np.mean(np.log(gap_chain_36[33].big_z)))
     s = bethe._solve_gap_s(36, beta)
     lam_cubic = 0.5 * np.log(s / (s - 1.0))
-    assert oracles.multiset_distance(lam_cubic, gap_chain_36[36].lam) < 0.01
+    lam = 0.5 * np.log(gap_chain_36[36].big_z)
+    assert oracles.multiset_distance(lam_cubic, lam) < 0.01
 
 
 def test_decoupled_energy_matches_nested(gap_chain_360):
@@ -627,19 +627,21 @@ def test_solver_error_paths(gap6):
         solve_bethe(6, 2, 0, branch_integers=(0, 0), seed=0)
 
 
-def test_json_roundtrip(gap6):
-    data = json.loads(json.dumps(gap6.to_json_dict()))
-    back = BetheRootSet.from_json_dict(data)
+def test_json_roundtrip(gap6, tmp_path):
+    path = tmp_path / "roots.json"
+    cli._write_json(path, cli._roots_payload(gap6), False)
+    data = json.loads(path.read_text())
+    back = cli._read_roots(path)
     np.testing.assert_allclose(back.big_z, gap6.big_z, atol=1e-15)
     np.testing.assert_array_equal(back.branch_integers, gap6.branch_integers)
     assert abs(complex(*data["energy_raw"])
                - oracles.energy_raw(gap6.big_z, 6)) <= 1e-13
 
 
-def test_curve_csv(gap6):
-    buf = io.StringIO()
-    gap6.write_curve_csv(buf, plane="big_z")
-    lines = buf.getvalue().strip().splitlines()
+def test_curve_csv(gap6, tmp_path):
+    path = tmp_path / "curve.csv"
+    cli._write_rows(path, False, "", cli._re_im(gap6.big_z))
+    lines = path.read_text().strip().splitlines()
     assert len(lines) == 2
     re_, im_ = lines[0].split(",")
     float(re_), float(im_)

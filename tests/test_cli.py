@@ -6,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from tasep2 import bethe, cli
+from tasep2 import Sector, bethe, build_hamiltonian_tasep, cli, dense_spectrum
 
 
 def _schema(name):
@@ -160,6 +160,60 @@ def test_bethe_seed_file_root_on_pole_exit_code(tmp_path, capsys):
               "--output-dir", str(tmp_path / "again")])
     assert rc == cli.EXIT_NUMERICAL
     assert "residual row Z_0 is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["lambda", "I"])
+def test_bethe_seed_file_missing_key_exit_code(tmp_path, capsys, missing):
+    """A --from-file root set without a key is a domain error naming the
+    key, not a traceback."""
+    run(["bethe", "--length", "6", "--output-dir", str(tmp_path)])
+    data = json.loads((tmp_path / "roots_L6.json").read_text())
+    del data[missing]
+    (tmp_path / "seed.json").write_text(json.dumps(data))
+    rc = run(["bethe", "--length", "6", "--from-file",
+              str(tmp_path / "seed.json"),
+              "--output-dir", str(tmp_path / "again")])
+    assert rc == cli.EXIT_DOMAIN
+    assert f"has no key '{missing}'" in capsys.readouterr().err
+
+
+def _assert_rows(path, sep, header, values):
+    """`path` is `header` (if any), then one line per row of `values`, each
+    number the .17g text of the exact double."""
+    lines = path.read_text().splitlines()
+    if header is not None:
+        assert lines.pop(0) == header
+    assert lines == [sep.join(f"{x:.17g}" for x in row) for row in values]
+    assert [[float(x) for x in line.split(sep)] for line in lines] == [
+        [float(x) for x in row] for row in values]
+
+
+def test_text_reports_hold_exact_doubles(tmp_path):
+    """The spectrum, curve, gap-series and extrapolant files hold the
+    doubles the library returned or the JSON report holds, byte for byte;
+    only the last two have a header."""
+    assert run(["diag", "--length", "6", "--na", "2", "--nb", "2",
+                "--spectrum", "--output-dir", str(tmp_path)]) == 0
+    evs = dense_spectrum(build_hamiltonian_tasep(6, Sector(6, 2, 2)))
+    _assert_rows(tmp_path / "spectrum_L6_na2_nb2.txt", " ", None,
+                 [(x.real, x.imag) for x in evs.eigenvalues])
+
+    assert run(["bethe", "--length", "6", "--output-dir", str(tmp_path)]) == 0
+    roots = json.loads((tmp_path / "roots_L6.json").read_text())
+    big_z = bethe.solve_gap_state(6).big_z
+    _assert_rows(tmp_path / "curve_Z_L6.csv", ",", None,
+                 [(z.real, z.imag) for z in big_z])
+    _assert_rows(tmp_path / "curve_lambda_L6.csv", ",", None, roots["lambda"])
+
+    assert run(["scale", "--from", "6", "--to", "12",
+                "--output-dir", str(tmp_path)]) == 0
+    chain = bethe.solve_gap_chain(15)
+    _assert_rows(tmp_path / "gap_series.csv", ",", "L,gap_re",
+                 [(l, bethe.energy_from_roots(chain[l]).real)
+                  for l in range(6, 16, 3)])
+    report = json.loads((tmp_path / "scaling_report.json").read_text())
+    _assert_rows(tmp_path / "extrapolants.csv", ",", "L,extrapolant",
+                 [(int(l), e) for l, e in report["extrapolants"].items()])
 
 
 def test_overwrite_refused_without_force(tmp_path):

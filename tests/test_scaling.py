@@ -7,6 +7,7 @@ from tasep2 import (
     GapSeries,
     bst_extrapolate,
     bst_scan,
+    cli,
     energy_from_roots,
     local_exponent,
     run_scaling_study,
@@ -131,12 +132,11 @@ def test_run_scaling_study_rejects_bad_ranges():
         run_scaling_study(7, 33)
 
 
-def test_gap_series_csv(gap_chain_36):
-    import io
+def test_gap_series_csv(gap_chain_36, tmp_path):
     series = GapSeries([(l, energy_from_roots(r).real)
                         for l, r in sorted(gap_chain_36.items())])
-    buf = io.StringIO()
-    series.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
+    path = tmp_path / "gap_series.csv"
+    cli._write_rows(path, False, "L,gap_re\n", series.entries)
+    lines = path.read_text().strip().splitlines()
     assert lines[0] == "L,gap_re"
     assert len(lines) == 1 + len(series.entries)

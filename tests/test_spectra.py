@@ -1,6 +1,6 @@
 """Dense and Krylov spectra against hand-built and cross-method oracles."""
 
-import io
+import json
 import logging
 
 import numpy as np
@@ -13,6 +13,7 @@ from tasep2 import (
     Sector,
     all_sectors,
     build_hamiltonian_tasep,
+    cli,
     dense_spectrum,
     krylov_gap,
     project_momentum,
@@ -115,11 +116,15 @@ def test_krylov_matches_dense_l6(spectrum_l6_equal):
     assert abs(res.gap - spectrum_l6_equal.gap) <= 1e-10
 
 
-def test_krylov_matches_dense_l9(spectrum_l9_equal):
+def test_krylov_matches_dense_l9(spectrum_l9_equal, tmp_path):
     gen = build_hamiltonian_tasep(9, Sector(9, 3, 3))
     res = krylov_gap(gen, seed=0)
     assert abs(res.gap - spectrum_l9_equal.gap) <= 1e-10
-    assert res.method == "krylov"
+    assert cli.main(["diag", "--length", "9", "--na", "3", "--nb", "3",
+                     "--krylov", "--output-dir", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "diag_L9_na3_nb3.json").read_text())
+    assert complex(data["gap_re"], data["gap_im"]) == res.gap
+    assert data["method"] == "krylov"
 
 
 def test_krylov_full_sector_returns_eigenvalues_nearest_sigma(
@@ -214,17 +219,19 @@ def test_zero_mode_block_factor_is_accurate(monkeypatch):
     assert np.linalg.norm(mat @ x - b) / np.linalg.norm(b) <= 1e-12
 
 
-def test_spectrum_export_format(spectrum_l6_equal):
-    buf = io.StringIO()
-    spectrum_l6_equal.export_spectrum(buf)
-    lines = buf.getvalue().strip().splitlines()
+def test_spectrum_export_format(spectrum_l6_equal, tmp_path):
+    path = tmp_path / "spectrum.txt"
+    cli._write_rows(path, False, "", cli._re_im(spectrum_l6_equal.eigenvalues))
+    lines = path.read_text().strip().splitlines()
     assert len(lines) == 90
     re_, im_ = lines[0].split()
     float(re_), float(im_)
 
 
-def test_summary_fields(spectrum_l6_equal):
-    s = spectrum_l6_equal.summary()
+def test_summary_fields(tmp_path):
+    assert cli.main(["diag", "--length", "6", "--na", "2", "--nb", "2",
+                     "--output-dir", str(tmp_path)]) == 0
+    s = json.loads((tmp_path / "diag_L6_na2_nb2.json").read_text())
     assert s["L"] == 6 and s["n_A"] == 2 and s["n_B"] == 2
     assert s["method"] == "dense"
     assert s["gap_re"] == pytest.approx(GAP_L6.real, abs=1e-10)

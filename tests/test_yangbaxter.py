@@ -11,13 +11,7 @@ from tasep2 import (
     transfer_hamiltonian_check,
 )
 from tasep2 import yangbaxter
-from tasep2.yangbaxter import (
-    _invert_tau0,
-    r_tensor,
-    transfer_trace,
-    weight_a,
-    weight_c,
-)
+from tasep2.yangbaxter import _invert_tau0, r_tensor, transfer_trace
 
 
 def test_r_matrix_five_rules():
@@ -81,12 +75,11 @@ def test_yang_baxter_detects_perturbation(monkeypatch):
 
 def test_reference_state_action():
     length, th = 3, 0.37
-    tm = build_transfer_matrix(length, th)
+    T = build_transfer_matrix(length, th)
     omega = np.zeros(3 ** length)
     omega[0] = 1.0  # all-A product state
-    aL = weight_a(th) ** length
-    cL = weight_c(th) ** length
-    T = tm.monodromy
+    aL = np.exp(th) ** length
+    cL = (2.0 * np.sinh(th)) ** length
     np.testing.assert_allclose(T[0, 0].tocsr() @ omega, aL * omega, atol=1e-12)
     np.testing.assert_allclose(T[1, 1].tocsr() @ omega, cL * omega, atol=1e-12)
     np.testing.assert_allclose(T[2, 2].tocsr() @ omega, cL * omega, atol=1e-12)
@@ -114,8 +107,7 @@ def test_transfer_matrices_commute():
 
 def test_transfer_conserves_sectors():
     length = 3
-    tm = build_transfer_matrix(length, 0.29)
-    mat = np.asarray(tm.matrix.todense())
+    mat = np.asarray(transfer_trace(length, 0.29).todense())
 
     def counts(idx):
         digs = []
