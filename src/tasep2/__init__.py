@@ -34,7 +34,6 @@ from .bethe import (
 )
 from .scaling import (
     BstTableau,
-    GapSeries,
     bst_extrapolate,
     bst_scan,
     local_exponent,
@@ -49,7 +48,6 @@ __all__ = [
     "BstTableau",
     "ConvergenceError",
     "EnergyMap",
-    "GapSeries",
     "Sector",
     "SectorGenerator",
     "SpectrumResult",

@@ -291,19 +291,19 @@ def _multistart_seeds(p, r, seed):
     return seeds
 
 
-def solve_bethe(length, p, r=0, *, branch_integers, second_integers=None,
+def solve_bethe(length, *, branch_integers, second_integers=None,
                 seed_roots=None, seed=0):
-    """Solve the nested system for given branch integers.
+    """Solve the nested system for given branch integers; the root counts
+    p and r are the lengths of the integer vectors.
 
     Deterministic in (branch_integers, seed).  Without seed_roots a seeded
     multistart over circles of radius 0.5, 1, 2 is used (small systems).
     """
-    if p < 1:
-        raise ValueError("need at least one first-level root")
     I = np.asarray(branch_integers, dtype=int)
     J = np.asarray(() if second_integers is None else second_integers, int)
-    if len(I) != p or len(J) != r:
-        raise ValueError("integer vectors must match root counts")
+    p, r = len(I), len(J)
+    if p < 1:
+        raise ValueError("need at least one first-level root")
     attempts = []
     if seed_roots is not None:
         if (seed_roots.p, seed_roots.r) != (p, r):
@@ -380,7 +380,7 @@ def calibrate_energy_map(length, seed=0):
         pairs = [(-2, -1, 1), (-3, -1, 0), (-2, 0, 1), (-1, 0, 1)]
     for I in pairs:
         try:
-            roots = solve_bethe(length, p, 0, branch_integers=I, seed=seed)
+            roots = solve_bethe(length, branch_integers=I, seed=seed)
         except BetheError:
             continue
         e = -2.0 * energy_from_roots(roots)
@@ -473,15 +473,14 @@ def _solve_gap(length, beta):
     return roots
 
 
-def continue_in_L(roots, target_length):
+def continue_in_L(roots):
     """One step L -> L+3 along the gap branch (p -> p+1).
 
     Seeds beta = exp(-mean_k ln Z_k) from the given root set (there
-    beta^p prod_k Z_k = 1), solves at the target size and verifies the
-    continued state by its local gap exponent.
+    beta^p prod_k Z_k = 1), solves at L+3 and verifies the continued state
+    by its local gap exponent.
     """
-    if target_length != roots.length + 3:
-        raise ValueError("continuation proceeds in steps of 3")
+    target_length = roots.length + 3
     beta = np.exp(-np.mean(np.log(roots.big_z)))
     new = _solve_gap(target_length, beta)
     ext = (np.log(energy_from_roots(roots).real / energy_from_roots(new).real)
@@ -505,7 +504,7 @@ def solve_gap_chain(max_length):
     try:
         chain[6] = _solve_gap(6, GAP_BETA_SEED)
         for length in range(9, max_length + 1, 3):
-            chain[length] = continue_in_L(chain[length - 3], length)
+            chain[length] = continue_in_L(chain[length - 3])
     except BetheError as exc:
         exc.chain = chain
         raise

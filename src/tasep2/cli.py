@@ -1,8 +1,10 @@
 """Command-line interface: diag / bethe / scale / check subcommands.
 
 This module writes every report and reads the root sets of `--from-file`;
-the numerics modules return numbers and open no files.  The text reports are
-rows of numbers written with `.17g`, which parses back to the same double.
+the numerics modules return numbers and open no files.  Every summary is
+JSON; the text reports are rows of numbers written with `.17g`, which parses
+back to the same double.  `bethe` takes the root counts p and r from the
+lengths of --integers and --second-integers.
 
 Every command accepts --seed and --output-dir (default from
 TASEP2_OUTPUT_DIR), and refuses to overwrite existing files unless --force
@@ -163,14 +165,7 @@ def cmd_diag(args):
     out = _outdir(args)
     suffix = "" if args.momentum is None else f"_k{args.momentum}"
     stem = f"diag_L{args.length}_na{args.na}_nb{args.nb}{suffix}"
-    if args.format == "csv":
-        keys = list(payload)
-        with _open_out(out / f"{stem}.csv", args.force) as f:
-            f.write(",".join(keys) + "\n")
-            f.write(",".join("" if payload[k] is None else str(payload[k])
-                             for k in keys) + "\n")
-    else:
-        _write_json(out / f"{stem}.json", payload, args.force)
+    _write_json(out / f"{stem}.json", payload, args.force)
     if args.spectrum:
         _write_rows(out / f"spectrum_L{args.length}_na{args.na}"
                           f"_nb{args.nb}{suffix}.txt", args.force, "",
@@ -184,19 +179,16 @@ def cmd_bethe(args):
     if args.from_file:
         seed_roots = _read_roots(args.from_file)
     integers, second = args.integers, args.second_integers
-    r = args.second_roots
     if integers is None and seed_roots is not None:
         if seed_roots.length != args.length:
             raise ValueError(
                 f"--from-file holds a root set of L = {seed_roots.length}, "
                 f"--length asks for L = {args.length}")
         integers, second = seed_roots.branch_integers, seed_roots.second_integers
-        r = seed_roots.r
     if integers is None:
         roots = bethe.solve_gap_state(args.length)
     else:
-        roots = bethe.solve_bethe(args.length, len(integers), r,
-                                  branch_integers=integers,
+        roots = bethe.solve_bethe(args.length, branch_integers=integers,
                                   second_integers=second,
                                   seed_roots=seed_roots, seed=args.seed)
     out = _outdir(args)
@@ -226,7 +218,7 @@ def cmd_scale(args):
                      for l in range(args.frm, args.to + 4, 3) if l in chain])
         return EXIT_NUMERICAL
     _write_rows(out / "gap_series.csv", args.force, "L,gap_re\n",
-                report["series"].entries)
+                report["series"])
     _write_rows(out / "extrapolants.csv", args.force, "L,extrapolant\n",
                 report["extrapolants"])
     tab = report["tableau"]
@@ -250,6 +242,8 @@ def cmd_check(args):
     results = {}
     rng = np.random.default_rng(args.seed)
     if args.yang_baxter or args.all:
+        if args.triples < 1:
+            raise ValueError("--triples must be at least 1")
         worst, triples = 0.0, []
         for _ in range(args.triples):
             th = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
@@ -300,8 +294,6 @@ def build_parser():
                    help="shift-inverted Arnoldi instead of a dense solve")
     p.add_argument("--spectrum", action="store_true",
                    help="also write the full eigenvalue list")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="summary file format")
     _add_common(p)
     p.set_defaults(func=cmd_diag)
 
@@ -309,8 +301,8 @@ def build_parser():
         "bethe", help="solve the nested root system")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--integers", type=int, nargs="+", default=None)
-    p.add_argument("--second-roots", type=int, default=0)
-    p.add_argument("--second-integers", type=int, nargs="+", default=None)
+    p.add_argument("--second-integers", type=int, nargs="+", default=None,
+                   help="second-level integers J; r is their count")
     p.add_argument("--from-file", default=None,
                    help="JSON root set used to seed the solve")
     _add_common(p)

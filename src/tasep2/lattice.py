@@ -19,16 +19,9 @@ code array; targets are located by binary search in it.
 """
 
 from dataclasses import dataclass, field
-from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
-
-
-def _multinomial(length, n_a, n_b):
-    return factorial(length) // (
-        factorial(n_a) * factorial(n_b) * factorial(length - n_a - n_b)
-    )
 
 
 @dataclass(frozen=True)
@@ -38,7 +31,6 @@ class Sector:
     length: int
     n_a: int
     n_b: int
-    momentum: int | None = None
 
     def __post_init__(self):
         if self.length < 1:
@@ -47,16 +39,10 @@ class Sector:
             raise ValueError(
                 f"invalid sector counts ({self.n_a}, {self.n_b}) for L={self.length}"
             )
-        if self.momentum is not None and not 0 <= self.momentum < self.length:
-            raise ValueError("momentum must lie in [0, length)")
 
     @property
     def n_vac(self):
         return self.length - self.n_a - self.n_b
-
-    @property
-    def dimension(self):
-        return _multinomial(self.length, self.n_a, self.n_b)
 
 
 @dataclass
@@ -66,13 +52,15 @@ class SectorGenerator:
     sector and full-space generators."""
 
     length: int  # sites of the ring
-    sector: Sector | None
-    dimension: int
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     packs: np.ndarray = field(repr=False)
     momentum: int | None = None  # k of a block made by momentum_blocks
+
+    @property
+    def dimension(self):
+        return len(self.packs)
 
     def to_csr(self):
         return sp.csr_matrix(
@@ -145,12 +133,9 @@ def assemble_moves(length, packs):
     return np.concatenate(rows), np.concatenate(cols), vals
 
 
-def _assemble(length, packs, sector):
+def _assemble(length, packs):
     rows, cols, vals = assemble_moves(length, packs)
-    return SectorGenerator(
-        length=length, sector=sector, dimension=len(packs), rows=rows,
-        cols=cols, vals=vals, packs=packs,
-    )
+    return SectorGenerator(length, rows, cols, vals, packs)
 
 
 def build_hamiltonian_tasep(length, sector=None):
@@ -158,10 +143,10 @@ def build_hamiltonian_tasep(length, sector=None):
     if length < 2:
         raise ValueError("need at least two sites")
     if sector is None:
-        return _assemble(length, np.arange(3 ** length, dtype=np.int64), None)
+        return _assemble(length, np.arange(3 ** length, dtype=np.int64))
     if sector.length != length:
         raise ValueError("sector length mismatch")
-    return _assemble(length, sector_packs(sector), sector)
+    return _assemble(length, sector_packs(sector))
 
 
 def translate_packed(x, length):
@@ -214,7 +199,6 @@ def momentum_blocks(gen, momenta):
     src, dst = gen.cols[on_rep], gen.rows[on_rep]
     vals = gen.vals[on_rep] * np.sqrt(period[src] / period[dst])
     dst_rep, dst_shift = rep[dst], shift[dst]
-    sec = gen.sector
     blocks = []
     for k in momenta:
         keep = is_rep & ((k * period) % length == 0)
@@ -233,13 +217,8 @@ def momentum_blocks(gen, momenta):
                            shape=(dim, dim))
         coo.sum_duplicates()
         coo.eliminate_zeros()
-        blocks.append(SectorGenerator(
-            length=length,
-            sector=None if sec is None else Sector(sec.length, sec.n_a,
-                                                   sec.n_b, momentum=k),
-            dimension=dim, rows=coo.row, cols=coo.col, vals=coo.data,
-            packs=packs[rep_rows], momentum=k,
-        ))
+        blocks.append(SectorGenerator(length, coo.row, coo.col, coo.data,
+                                      packs[rep_rows], momentum=k))
     return blocks
 
 

@@ -27,31 +27,13 @@ from . import bethe
 OMEGA_SCAN = (0.5, 1.0, 1.5, 2.0)
 
 
-@dataclass
-class GapSeries:
-    """Ordered (L, Re gap) pairs for the first excited state."""
-
-    entries: list
-
-    def __post_init__(self):
-        ls = [l for l, _ in self.entries]
-        gaps = [g for _, g in self.entries]
-        if any(l % 3 for l in ls):
-            raise ValueError("sizes must be multiples of 3")
-        if any(b <= a for a, b in zip(ls, ls[1:])):
-            raise ValueError("sizes must be strictly increasing")
-        if any(g <= 0 for g in gaps):
-            raise ValueError("gaps must be positive")
-        if any(b >= a for a, b in zip(gaps, gaps[1:])):
-            raise ValueError("gaps must decrease with size")
-
-
 def local_exponent(series):
-    """(L, extrapolant) for each adjacent pair; values sit near -z."""
+    """(L, extrapolant) for each adjacent pair of the (L, gap) pairs;
+    values sit near -z."""
     out = []
-    entries = series.entries if isinstance(series, GapSeries) else list(series)
-    by_l = dict(entries)
-    for l, g in entries:
+    series = list(series)
+    by_l = dict(series)
+    for l, g in series:
         if l + 3 not in by_l:
             continue
         out.append((l, np.log(g / by_l[l + 3]) / np.log(l / (l + 3.0))))
@@ -131,19 +113,19 @@ def bst_scan(values):
     return best
 
 
-def run_scaling_study(l_min=6, l_max=33, omega=None):
+def run_scaling_study(l_min, l_max, omega=None):
     """Full pipeline: Bethe gap chain, local exponents, BST extrapolation.
 
     `l_min`..`l_max` label the local exponents, so the gap chain extends to
     l_max + 3.  With omega None the scan picks the tableau with the smallest
-    error estimate.  Returns series, extrapolants, tableau, z_estimate and
-    error.
+    error estimate.  Returns series (the (L, Re gap) pairs), extrapolants,
+    tableau, z_estimate and error.
     """
     if l_min % 3 or l_max % 3 or not 6 <= l_min <= l_max:
         raise ValueError("need multiples of 3 with 6 <= l_min <= l_max")
     chain = bethe.solve_gap_chain(l_max + 3)
-    series = GapSeries([(l, bethe.energy_from_roots(chain[l]).real)
-                        for l in range(l_min, l_max + 4, 3)])
+    series = [(l, bethe.energy_from_roots(chain[l]).real)
+              for l in range(l_min, l_max + 4, 3)]
     extrapolants = local_exponent(series)
     tableau = (bst_scan(extrapolants) if omega is None
                else bst_extrapolate(extrapolants, omega))

@@ -1,6 +1,7 @@
 """The public API holds only names that the program, its benchmark or its
 documentation use."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -23,3 +24,23 @@ def test_every_export_is_used_outside_the_tests():
         if not any(word.search(line) and not own.match(line) for line in lines):
             unused.append(name)
     assert unused == []
+
+
+def test_option_count_does_not_grow():
+    """Parameters with a default value in any function of src/tasep2, and
+    argparse `add_argument` calls in cli.py, stay at or below their counts
+    (14 and 23); a change that raises a ceiling says why."""
+    src = ROOT / "src" / "tasep2"
+    defaulted = 0
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                defaulted += len(node.args.defaults)
+                defaulted += sum(d is not None for d in node.args.kw_defaults)
+    flags = sum(isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"
+                for node in ast.walk(ast.parse((src / "cli.py").read_text())))
+    assert defaulted <= 14
+    assert flags <= 23

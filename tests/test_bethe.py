@@ -45,7 +45,7 @@ GAP_L12_RE = 0.170064984267566
 
 @pytest.fixture(scope="module")
 def gap6():
-    return solve_bethe(6, 2, 0, branch_integers=oracles.gap_branch_integers(2))
+    return solve_bethe(6, branch_integers=oracles.gap_branch_integers(2))
 
 
 @pytest.fixture(scope="module")
@@ -122,13 +122,13 @@ def test_pole_raises_without_warnings(z, y, row):
 
 
 def test_solver_determinism():
-    a = solve_bethe(6, 2, 0, branch_integers=(-1, 1), seed=12)
-    b = solve_bethe(6, 2, 0, branch_integers=(-1, 1), seed=12)
+    a = solve_bethe(6, branch_integers=(-1, 1), seed=12)
+    b = solve_bethe(6, branch_integers=(-1, 1), seed=12)
     np.testing.assert_array_equal(a.big_z, b.big_z)
 
 
 def test_resolve_from_own_output_is_fixed_point(gap6):
-    again = solve_bethe(6, 2, 0, branch_integers=gap6.branch_integers,
+    again = solve_bethe(6, branch_integers=gap6.branch_integers,
                         seed_roots=gap6)
     assert np.max(np.abs(again.big_z - gap6.big_z)) <= 1e-13
 
@@ -141,14 +141,14 @@ def test_newton_basin_100_perturbations(gap6):
             gap6.big_z * (1.0 + 1e-3 * (rng.standard_normal(2)
                                         + 1j * rng.standard_normal(2))),
             np.zeros(0, complex), gap6.branch_integers)
-        back = solve_bethe(6, 2, 0, branch_integers=gap6.branch_integers,
+        back = solve_bethe(6, branch_integers=gap6.branch_integers,
                            seed_roots=noisy)
         assert np.max(np.abs(np.sort_complex(back.big_z)
                              - np.sort_complex(gap6.big_z))) <= 1e-10
 
 
 def test_steady_state_is_regular_bethe_state():
-    roots = solve_bethe(6, 2, 0, branch_integers=(-1, 0))
+    roots = solve_bethe(6, branch_integers=(-1, 0))
     assert abs(oracles.energy_raw(roots.big_z, 6) - 10.0) <= 1e-12  # L + 2p
     assert abs(energy_from_roots(roots)) <= 1e-12
 
@@ -160,7 +160,7 @@ def test_energy_matches_paper_raw_route(gap_chain_360):
     for length, roots in gap_chain_360.items():
         want = oracles.energy_via_raw(roots.big_z, length)
         assert abs(energy_from_roots(roots) - want) <= 1e-13, length
-    roots = solve_bethe(6, 2, 1, branch_integers=(-2, 1), second_integers=(0,),
+    roots = solve_bethe(6, branch_integers=(-2, 1), second_integers=(0,),
                         seed=1)
     e = energy_from_roots(roots)
     assert abs(e - oracles.energy_via_raw(roots.big_z, 6)) <= 1e-13
@@ -177,7 +177,7 @@ def test_root_set_keeps_solver_roots(monkeypatch):
         return out
 
     monkeypatch.setattr(bethe, "_newton", recorded)
-    for solve in (lambda: solve_bethe(6, 2, 0, branch_integers=(-1, 1)),
+    for solve in (lambda: solve_bethe(6, branch_integers=(-1, 1)),
                   lambda: solve_gap_state(99)):
         roots = solve()
         Z = returned[-1]
@@ -424,7 +424,7 @@ def test_newton_logs_each_solve(caplog):
     halvings and the final residual, which is the stored one."""
     with caplog.at_level(logging.DEBUG, logger="tasep2.bethe"):
         chain = solve_gap_chain(15)
-        roots = solve_bethe(6, 2, 0, branch_integers=[-1, 0])
+        roots = solve_bethe(6, branch_integers=[-1, 0])
     records = [r for r in caplog.records if "Newton solve" in r.getMessage()]
     assert [r.args[:2] for r in records] == [(6, 2), (9, 3), (12, 4),
                                              (15, 5), (6, 2)]
@@ -565,8 +565,12 @@ def test_chain_extends_well_beyond_table(gap_chain_36):
 
 
 def test_continue_requires_step_three(gap6):
-    with pytest.raises(ValueError):
-        continue_in_L(gap6, 10)
+    """One continuation step goes from L to L + 3 and from p to p + 1, onto
+    the state that the chain reaches at L + 3."""
+    roots = continue_in_L(gap6)
+    assert (roots.length, roots.p) == (9, 3)
+    want = energy_from_roots(solve_gap_chain(9)[9])
+    assert abs(energy_from_roots(roots) - want) <= 1e-12
 
 
 def test_first_level_states_exhaust_no_vacancy_sector():
@@ -578,7 +582,7 @@ def test_first_level_states_exhaust_no_vacancy_sector():
     for i1 in range(-3, 3):
         for i2 in range(i1 + 1, 4):
             try:
-                roots = solve_bethe(6, 2, 0, branch_integers=(i1, i2), seed=2)
+                roots = solve_bethe(6, branch_integers=(i1, i2), seed=2)
             except Exception:
                 continue
             e = energy_from_roots(roots)
@@ -602,7 +606,7 @@ def test_second_level_states_match_ed():
         for i2 in range(i1 + 1, 3):
             for j1 in (-1, 0, 1):
                 try:
-                    roots = solve_bethe(6, 2, 1, branch_integers=(i1, i2),
+                    roots = solve_bethe(6, branch_integers=(i1, i2),
                                         second_integers=(j1,), seed=1)
                 except Exception:
                     continue
@@ -617,14 +621,12 @@ def test_second_level_states_match_ed():
 
 def test_solver_error_paths(gap6):
     with pytest.raises(ValueError):
-        solve_bethe(6, 0, 0, branch_integers=())
-    with pytest.raises(ValueError):
-        solve_bethe(6, 2, 0, branch_integers=(1, 2, 3))
+        solve_bethe(6, branch_integers=())
     with pytest.raises(ValueError, match=r"seed roots have \(p, r\) = \(2, 0\)"):
-        solve_bethe(6, 3, 0, branch_integers=(-1, 0, 1), seed_roots=gap6)
+        solve_bethe(6, branch_integers=(-1, 0, 1), seed_roots=gap6)
     with pytest.raises(NewtonDivergenceError):
         # coinciding integers force coinciding roots
-        solve_bethe(6, 2, 0, branch_integers=(0, 0), seed=0)
+        solve_bethe(6, branch_integers=(0, 0), seed=0)
 
 
 def test_json_roundtrip(gap6, tmp_path):

@@ -67,15 +67,6 @@ def test_diag_spectrum_export(tmp_path):
     float(lines[0].split()[0]), float(lines[0].split()[1])
 
 
-def test_diag_csv_format(tmp_path):
-    rc = run(["diag", "--length", "4", "--na", "1", "--nb", "1",
-              "--format", "csv", "--output-dir", str(tmp_path)])
-    assert rc == 0
-    lines = (tmp_path / "diag_L4_na1_nb1.csv").read_text().splitlines()
-    assert lines[0].startswith("L,n_A,n_B")
-    assert lines[1].split(",")[0] == "4"
-
-
 def test_diag_domain_error_exit_code(tmp_path):
     rc = run(["diag", "--length", "3", "--na", "5", "--nb", "0",
               "--output-dir", str(tmp_path)])
@@ -104,6 +95,19 @@ def test_bethe_explicit_integers(tmp_path):
     data = json.loads((tmp_path / "roots_L6.json").read_text())
     assert abs(data["energy"][0]) <= 1e-10   # steady state
     assert abs(data["energy_raw"][0] - 10.0) <= 1e-10
+
+
+def test_bethe_second_level_state(tmp_path):
+    """r is the count of --second-integers: the p = 2, r = 1 state of L = 6
+    has the eigenvalue (5 - sqrt 5)/2 of the sector (n_A, n_B) = (4, 1)."""
+    rc = run(["bethe", "--length", "6", "--integers", "-2", "1",
+              "--second-integers", "0", "--seed", "1",
+              "--output-dir", str(tmp_path)])
+    assert rc == 0
+    data = json.loads((tmp_path / "roots_L6.json").read_text())
+    jsonschema.validate(data, _schema("roots.json"))
+    assert (data["p"], data["r"], data["J"]) == (2, 1, [0])
+    assert abs(complex(*data["energy"]) - (5 - 5 ** 0.5) / 2) <= 1e-12
 
 
 def test_bethe_seed_file_roundtrip(tmp_path):
@@ -273,10 +277,10 @@ def test_scale_failure_writes_converged_prefix(tmp_path, monkeypatch):
     continue_in_l, solve_gap_chain = bethe.continue_in_L, bethe.solve_gap_chain
     chain_calls = []
 
-    def failing_step(roots, target_length, **kwargs):
-        if target_length == 15:
+    def failing_step(roots):
+        if roots.length + 3 == 15:
             raise bethe.NewtonDivergenceError("injected failure at L=15")
-        return continue_in_l(roots, target_length, **kwargs)
+        return continue_in_l(roots)
 
     def counted_chain(*args, **kwargs):
         chain_calls.append(args)
@@ -300,6 +304,20 @@ def test_check_yang_baxter(tmp_path):
     jsonschema.validate(report, _schema("check.json"))
     assert report["yang_baxter"]["max_residual"] <= 1e-12
     assert report["yang_baxter"]["n_triples"] == 100
+
+
+@pytest.mark.parametrize("triples", ["0", "-3"])
+def test_check_without_triples_is_domain_error(tmp_path, capsys, triples):
+    """A Yang-Baxter check over no triples checked nothing: it exits 2 and
+    writes no report, and --all does the same."""
+    for what in ("--yang-baxter", "--all"):
+        rc = run(["check", what, "--triples", triples,
+                  "--output-dir", str(tmp_path)])
+        assert rc == cli.EXIT_DOMAIN
+        assert "--triples" in capsys.readouterr().err
+    assert not (tmp_path / "check_report.json").exists()
+    assert run(["check", "--transfer-hamiltonian", "--triples", triples,
+                "--length", "2", "--output-dir", str(tmp_path)]) == 0
 
 
 def test_check_transfer_hamiltonian(tmp_path):

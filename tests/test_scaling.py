@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tasep2 import (
-    GapSeries,
     bst_extrapolate,
     bst_scan,
     cli,
@@ -17,13 +16,13 @@ from conftest import PAPER_EXTRAPOLANTS
 
 
 def test_gap_series_validation():
-    GapSeries([(6, 0.5), (9, 0.3)])
-    with pytest.raises(ValueError):
-        GapSeries([(6, 0.5), (8, 0.3)])       # size not a multiple of 3
-    with pytest.raises(ValueError):
-        GapSeries([(9, 0.5), (6, 0.3)])       # sizes not increasing
-    with pytest.raises(ValueError):
-        GapSeries([(6, 0.3), (9, 0.5)])       # gaps not decreasing
+    """The study's gap series steps by 3 from l_min, and its gaps are
+    positive and strictly decreasing."""
+    series = run_scaling_study(6, 12)["series"]
+    assert [l for l, _ in series] == [6, 9, 12, 15]
+    gaps = [g for _, g in series]
+    assert all(g > 0 for g in gaps)
+    assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
 def test_local_exponent_pure_power_law():
@@ -133,10 +132,10 @@ def test_run_scaling_study_rejects_bad_ranges():
 
 
 def test_gap_series_csv(gap_chain_36, tmp_path):
-    series = GapSeries([(l, energy_from_roots(r).real)
-                        for l, r in sorted(gap_chain_36.items())])
+    series = [(l, energy_from_roots(r).real)
+              for l, r in sorted(gap_chain_36.items())]
     path = tmp_path / "gap_series.csv"
-    cli._write_rows(path, False, "L,gap_re\n", series.entries)
+    cli._write_rows(path, False, "L,gap_re\n", series)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "L,gap_re"
-    assert len(lines) == 1 + len(series.entries)
+    assert len(lines) == 1 + len(series)
