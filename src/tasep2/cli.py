@@ -4,7 +4,7 @@ This module writes every report and reads the root sets of `--from-file`;
 the numerics modules return numbers and open no files.  Every summary is
 JSON; the text reports are rows of numbers written with `.17g`, which parses
 back to the same double.  `bethe` takes the root counts p and r from the
-lengths of --integers and --second-integers.
+lengths of --integers and --second-integers, which needs --integers.
 
 Every command accepts --seed and --output-dir (default from
 TASEP2_OUTPUT_DIR), and refuses to overwrite existing files unless --force
@@ -175,6 +175,8 @@ def cmd_diag(args):
 
 
 def cmd_bethe(args):
+    if args.second_integers is not None and args.integers is None:
+        raise ValueError("--second-integers needs --integers")
     seed_roots = None
     if args.from_file:
         seed_roots = _read_roots(args.from_file)
@@ -238,6 +240,8 @@ def cmd_scale(args):
 
 
 def cmd_check(args):
+    if args.length is not None and not (args.transfer_hamiltonian or args.all):
+        raise ValueError("--length needs --transfer-hamiltonian or --all")
     out = _outdir(args)
     results = {}
     rng = np.random.default_rng(args.seed)
@@ -258,7 +262,7 @@ def cmd_check(args):
             "triples": triples,
         }
     if args.transfer_hamiltonian or args.all:
-        lengths = [args.length] if args.length else [2, 3]
+        lengths = [2, 3] if args.length is None else [args.length]
         checks = [yangbaxter.transfer_hamiltonian_check(l) for l in lengths]
         results["transfer_hamiltonian"] = {
             "checks": checks,
@@ -321,7 +325,8 @@ def build_parser():
     p.add_argument("--yang-baxter", action="store_true")
     p.add_argument("--transfer-hamiltonian", action="store_true")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--length", type=int, default=None)
+    p.add_argument("--length", type=int, default=None,
+                   help="ring length of the transfer check (default 2 and 3)")
     p.add_argument("--triples", type=int, default=100)
     _add_common(p)
     p.set_defaults(func=cmd_check)

@@ -99,6 +99,11 @@ def sector_packs(sector):
     return codes[(n_a, n_b)]
 
 
+def site_weights(length):
+    """Place value 3^(L-1-j) of site j in a packed code."""
+    return 3 ** np.arange(length - 1, -1, -1, dtype=np.int64)
+
+
 def assemble_moves(length, packs):
     """COO data of the master-equation generator on the given sorted
     configurations.
@@ -110,7 +115,7 @@ def assemble_moves(length, packs):
     configuration reach distinct targets (at L = 2 the two bonds join the
     same sites, but only one of them holds g < d).
     """
-    weight = 3 ** np.arange(length - 1, -1, -1, dtype=np.int64)  # of site j
+    weight = site_weights(length)
     digits = np.empty((len(packs), length), dtype=np.int8)
     for j in range(length):
         digits[:, j] = packs // weight[j] % 3

@@ -17,15 +17,15 @@ the same table are needed, and both are fixed by unambiguous anchors:
   Rhat_12(x-y) Rhat_13(x-z) Rhat_23(y-z) = Rhat_23 Rhat_13 Rhat_12 hold
   (it does, to machine precision; other wirings fail).
 
-tau(0) comes out as the one-site translation (a permutation), so the
-logarithmic derivative of the transfer matrix is formed with a permutation
-transpose instead of a linear solve.
+The monodromy matrix is one sparse product of the L site vertices on the
+lattice's packed codes; no matrix here is dense.  tau(0) is checked against
+the lattice's one-site translation, whose permutation then inverts it.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import build_hamiltonian_tasep
+from .lattice import build_hamiltonian_tasep, site_weights, translate_packed
 
 
 def r_tensor(theta):
@@ -50,16 +50,14 @@ def _r_operator(theta):
 
 def check_yang_baxter(theta1, theta2, theta3):
     """Max-norm residual of the factorization equation at the given triple."""
-    eye = np.eye(3)
+    eye = np.identity(3)
     r12 = np.kron(_r_operator(theta1 - theta2), eye)
     r23 = np.kron(eye, _r_operator(theta2 - theta3))
     # R_13 is R_12 with the factors 2 and 3 swapped on both sides
     r13 = (np.kron(_r_operator(theta1 - theta3), eye)
            .reshape(3, 3, 3, 3, 3, 3).transpose(0, 2, 1, 3, 5, 4)
            .reshape(27, 27))
-    lhs = r12 @ r13 @ r23
-    rhs = r23 @ r13 @ r12
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(r12 @ r13 @ r23 - r23 @ r13 @ r12)))
 
 
 def t_site(theta):
@@ -67,70 +65,63 @@ def t_site(theta):
     return np.einsum("ibaj->abij", r_tensor(theta))
 
 
+def _site_vertex(length, site, t):
+    """M_site = sum_ab |a><b| (x) t_ab on aux (x) chain, the aux state as
+    the most significant index: t_ab[i, j] takes the site's trit j to i."""
+    n, weight = 3 ** length, site_weights(length)[site]
+    # the codes stably sorted by their trit at the site, n/3 per trit
+    by_trit = np.argsort(np.arange(n) // weight % 3, kind="stable")
+    a, b, i, j = np.nonzero(t)
+    x = by_trit.reshape(3, -1)[j]  # one row of codes per nonzero entry of t
+    rows = (a[:, None] * n + x + ((i - j) * weight)[:, None]).ravel()
+    cols = (b[:, None] * n + x).ravel()
+    vals = np.repeat(t[a, b, i, j], x.shape[1])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(3 * n, 3 * n))
+
+
 def build_transfer_matrix(length, theta):
-    """Monodromy matrix on the 3^length chain (length <= 8): a (3, 3)
-    object array of sparse blocks T_ab."""
-    if length < 1:
-        raise ValueError("length must be positive")
-    if length > 8:
-        raise ValueError("3^L transfer matrix limited to L <= 8")
+    """Monodromy matrix M_{L-1} ... M_0 on aux (x) chain (1 <= length <= 8),
+    one sparse matrix whose (a, b) block of size 3^length is T_ab."""
+    if not 1 <= length <= 8:
+        raise ValueError("3^L transfer matrix needs 1 <= L <= 8")
     t = t_site(theta)
-    ts = [[sp.csr_matrix(t[a, b]) for b in range(3)] for a in range(3)]
-    blocks = np.empty((3, 3), dtype=object)
-    for a in range(3):
-        for b in range(3):
-            blocks[a, b] = ts[a][b]
-    # the newest site enters as the most significant kron factor, so site 0
-    # carries the most significant trit, matching the lattice packing
-    for _ in range(length - 1):
-        new = np.empty((3, 3), dtype=object)
-        for a in range(3):
-            for b in range(3):
-                acc = None
-                for c in range(3):
-                    term = sp.kron(ts[c][b], blocks[a, c], format="csr")
-                    acc = term if acc is None else acc + term
-                new[a, b] = acc
-        blocks = new
-    return blocks
+    mono = _site_vertex(length, length - 1, t)
+    for site in range(length - 2, -1, -1):
+        mono = mono @ _site_vertex(length, site, t)
+    return mono
 
 
 def transfer_trace(length, theta):
     """tau(theta) = sum_a T_aa as a sparse matrix."""
-    blocks = build_transfer_matrix(length, theta)
-    return (blocks[0, 0] + blocks[1, 1] + blocks[2, 2]).tocsr()
-
-
-def _invert_tau0(tau0):
-    """tau(0) is the one-site translation: a permutation, inverted exactly
-    by its transpose."""
-    dense = np.asarray(tau0.todense())
-    is_perm = (
-        np.all((np.abs(dense) < 1e-12) | (np.abs(dense - 1) < 1e-12))
-        and np.all(np.abs(dense.sum(axis=0) - 1) < 1e-12)
-        and np.all(np.abs(dense.sum(axis=1) - 1) < 1e-12)
-    )
-    if not is_perm:
-        raise ValueError("tau(0) is not a permutation matrix")
-    return np.round(dense.real).T.astype(float)
+    mono, n = build_transfer_matrix(length, theta), 3 ** length
+    return (mono[:n, :n] + mono[n:2 * n, n:2 * n]
+            + mono[2 * n:, 2 * n:]).tocsr()
 
 
 def hamiltonian_from_transfer(length):
-    """d(log tau)/dtheta at theta = 0 as a dense matrix (length <= 6).
+    """d(log tau)/dtheta at theta = 0 as a sparse matrix (2 <= length <= 6).
 
     The R-matrix entries are e^theta, 2 sinh theta and e^-theta, so tau is a
     Laurent polynomial of degree <= L in e^theta with real coefficients, and
     tau'(0) = 2 Re sum_{m=1..L} w_m tau(2 pi i m / N) exactly, with N = 2L + 1
-    and w_m = (1/N) sum_{|n| <= L} n e^{-2 pi i m n / N}.  tau(0) is inverted
-    by permutation transpose (it is the translation operator).
+    and w_m = (1/N) sum_{|n| <= L} n e^{-2 pi i m n / N}.  tau(0) must equal,
+    entry for entry, the transpose of the lattice's one-site translation P,
+    so P is its inverse.
     """
+    if length < 2:
+        raise ValueError("need at least two sites")
     if length > 6:
-        raise ValueError("dense logarithmic derivative limited to L <= 6")
+        raise ValueError("logarithmic derivative limited to L <= 6")
+    codes = np.arange(3 ** length)
+    shift = sp.csr_matrix((np.ones(len(codes)),
+                           (translate_packed(codes, length), codes)))
+    if (transfer_trace(length, 0.0) != shift.T).nnz:
+        raise ValueError("tau(0) is not the one-site translation")
     n = np.arange(-length, length + 1)
     angles = 2.0 * np.pi * np.arange(1, length + 1) / len(n)
     dtau = sum(np.mean(n * np.exp(-1j * a * n)) * transfer_trace(length, 1j * a)
                for a in angles)
-    return 2.0 * dtau.real.toarray() @ _invert_tau0(transfer_trace(length, 0.0))
+    return 2.0 * dtau.real @ shift
 
 
 def transfer_hamiltonian_check(length):
@@ -142,12 +133,8 @@ def transfer_hamiltonian_check(length):
     max-norm discrepancy together with that affine convention.
     """
     K = hamiltonian_from_transfer(length)
-    H = build_hamiltonian_tasep(length).to_dense()
-    recovered = (length * np.eye(3 ** length) - K) / 2.0
-    discrepancy = float(np.max(np.abs(recovered - H)))
-    return {
-        "length": length,
-        "discrepancy": discrepancy,
-        "scale": -0.5,
-        "offset": length / 2.0,
-    }
+    H = build_hamiltonian_tasep(length).to_csr()
+    recovered = (length * sp.identity(3 ** length) - K) / 2.0
+    return {"length": length,
+            "discrepancy": float(abs(recovered - H).max()),
+            "scale": -0.5, "offset": length / 2.0}

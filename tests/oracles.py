@@ -187,3 +187,17 @@ def energy_raw(Z, length):
 def energy_via_raw(Z, length):
     """Generator eigenvalue by the paper's route, -(E_raw - L - 2p)/2."""
     return -(energy_raw(Z, length) - length - 2 * len(Z)) / 2.0
+
+
+def monodromy_blocks(t, length):
+    """Dense monodromy blocks T[a, b] (each 3^L x 3^L) of the site vertex
+    t[a, b][i, j], by the Kronecker recursion T <- T t: every new site
+    enters as the most significant Kronecker factor, so the first site is
+    the last of the ring and the final one, site 0, holds the most
+    significant trit."""
+    blocks = t.copy()
+    for _ in range(length - 1):
+        blocks = np.array([[sum(np.kron(t[c, b], blocks[a, c])
+                                for c in range(3))
+                            for b in range(3)] for a in range(3)])
+    return blocks

@@ -110,6 +110,19 @@ def test_bethe_second_level_state(tmp_path):
     assert abs(complex(*data["energy"]) - (5 - 5 ** 0.5) / 2) <= 1e-12
 
 
+def test_bethe_second_integers_need_integers(tmp_path, capsys):
+    """--second-integers without --integers is a domain error naming both
+    flags, with or without --from-file, and writes no files."""
+    run(["bethe", "--length", "6", "--output-dir", str(tmp_path)])
+    for extra in ([], ["--from-file", str(tmp_path / "roots_L6.json")]):
+        out = tmp_path / f"again{len(extra)}"
+        rc = run(["bethe", "--length", "6", "--second-integers", "0", *extra,
+                  "--output-dir", str(out)])
+        assert rc == cli.EXIT_DOMAIN
+        assert "--second-integers needs --integers" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_bethe_seed_file_roundtrip(tmp_path):
     run(["bethe", "--length", "6", "--output-dir", str(tmp_path)])
     rc = run(["bethe", "--length", "6", "--from-file",
@@ -318,6 +331,20 @@ def test_check_without_triples_is_domain_error(tmp_path, capsys, triples):
     assert not (tmp_path / "check_report.json").exists()
     assert run(["check", "--transfer-hamiltonian", "--triples", triples,
                 "--length", "2", "--output-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--yang-baxter", "--length", "5", "--triples", "1"],
+     "--length needs --transfer-hamiltonian or --all"),
+    (["--transfer-hamiltonian", "--length", "0"], "need at least two sites"),
+])
+def test_check_length_domain_error(tmp_path, capsys, argv, message):
+    """A --length that no check uses, or one below two sites, exits 2 and
+    writes no report."""
+    rc = run(["check", *argv, "--output-dir", str(tmp_path)])
+    assert rc == cli.EXIT_DOMAIN
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "check_report.json").exists()
 
 
 def test_check_transfer_hamiltonian(tmp_path):

@@ -11,7 +11,10 @@ from tasep2 import (
     transfer_hamiltonian_check,
 )
 from tasep2 import yangbaxter
-from tasep2.yangbaxter import _invert_tau0, r_tensor, transfer_trace
+from tasep2.lattice import translate_packed
+from tasep2.yangbaxter import r_tensor, t_site, transfer_trace
+
+import oracles
 
 
 def test_r_matrix_five_rules():
@@ -75,22 +78,42 @@ def test_yang_baxter_detects_perturbation(monkeypatch):
 
 def test_reference_state_action():
     length, th = 3, 0.37
-    T = build_transfer_matrix(length, th)
-    omega = np.zeros(3 ** length)
+    n = 3 ** length
+    mono = build_transfer_matrix(length, th)
+
+    def T(a, b):
+        return mono[a * n:(a + 1) * n, b * n:(b + 1) * n]
+
+    omega = np.zeros(n)
     omega[0] = 1.0  # all-A product state
     aL = np.exp(th) ** length
     cL = (2.0 * np.sinh(th)) ** length
-    np.testing.assert_allclose(T[0, 0].tocsr() @ omega, aL * omega, atol=1e-12)
-    np.testing.assert_allclose(T[1, 1].tocsr() @ omega, cL * omega, atol=1e-12)
-    np.testing.assert_allclose(T[2, 2].tocsr() @ omega, cL * omega, atol=1e-12)
+    np.testing.assert_allclose(T(0, 0) @ omega, aL * omega, atol=1e-12)
+    np.testing.assert_allclose(T(1, 1) @ omega, cL * omega, atol=1e-12)
+    np.testing.assert_allclose(T(2, 2) @ omega, cL * omega, atol=1e-12)
     # annihilation of the C operators and off-diagonal D block
-    np.testing.assert_allclose(T[0, 1].tocsr() @ omega, 0, atol=1e-14)
-    np.testing.assert_allclose(T[0, 2].tocsr() @ omega, 0, atol=1e-14)
-    np.testing.assert_allclose(T[1, 2].tocsr() @ omega, 0, atol=1e-14)
-    np.testing.assert_allclose(T[2, 1].tocsr() @ omega, 0, atol=1e-14)
+    np.testing.assert_allclose(T(0, 1) @ omega, 0, atol=1e-14)
+    np.testing.assert_allclose(T(0, 2) @ omega, 0, atol=1e-14)
+    np.testing.assert_allclose(T(1, 2) @ omega, 0, atol=1e-14)
+    np.testing.assert_allclose(T(2, 1) @ omega, 0, atol=1e-14)
     # the creation operators act nontrivially
-    assert np.linalg.norm(T[1, 0].tocsr() @ omega) > 1e-8
-    assert np.linalg.norm(T[2, 0].tocsr() @ omega) > 1e-8
+    assert np.linalg.norm(T(1, 0) @ omega) > 1e-8
+    assert np.linalg.norm(T(2, 0) @ omega) > 1e-8
+
+
+def test_monodromy_matches_kron_recursion():
+    """Every block T_ab of the one sparse product of site vertices equals
+    the dense Kronecker recursion of the oracle."""
+    for length in (2, 3, 4):
+        n = 3 ** length
+        for th in (0.37 - 0.21j, -0.5 + 0.3j, 0.1 + 0.9j):
+            mono = build_transfer_matrix(length, th).toarray()
+            assert mono.shape == (3 * n, 3 * n)
+            ref = oracles.monodromy_blocks(t_site(th), length)
+            for a in range(3):
+                for b in range(3):
+                    block = mono[a * n:(a + 1) * n, b * n:(b + 1) * n]
+                    assert np.max(np.abs(block - ref[a, b])) <= 1e-14
 
 
 def test_transfer_matrices_commute():
@@ -111,7 +134,7 @@ def test_transfer_conserves_sectors():
 
     def counts(idx):
         digs = []
-        # kron ordering: first site is the most significant trit
+        # the trits of a packed code, in any order: only their counts matter
         for _ in range(length):
             digs.append(idx % 3)
             idx //= 3
@@ -122,17 +145,27 @@ def test_transfer_conserves_sectors():
         assert counts(int(r)) == counts(int(c))
 
 
-def test_tau_zero_is_translation():
+def test_tau_zero_is_translation(monkeypatch):
     for length in (2, 3, 4):
         mat = np.asarray(transfer_trace(length, 0.0).todense())
         assert np.all((np.abs(mat) < 1e-12) | (np.abs(mat - 1) < 1e-12))
         np.testing.assert_allclose(mat.sum(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
         assert not np.allclose(mat, np.eye(3 ** length))
-        inv = _invert_tau0(transfer_trace(length, 0.0))
-        np.testing.assert_array_equal(inv @ mat, np.eye(3 ** length))
-    with pytest.raises(ValueError):
-        _invert_tau0(transfer_trace(2, 0.3))
+        np.testing.assert_array_equal(mat.T @ mat, np.eye(3 ** length))
+    # exactly the transpose of the lattice's translation P[T(x), x] = 1
+    for length in (2, 3, 4, 5):
+        codes = np.arange(3 ** length)
+        shift = np.zeros((len(codes), len(codes)))
+        shift[translate_packed(codes, length), codes] = 1.0
+        tau0 = transfer_trace(length, 0.0).toarray()
+        np.testing.assert_array_equal(tau0, shift.T)
+    # a tau(0) that is not the translation is refused
+    monkeypatch.setattr(yangbaxter, "transfer_trace",
+                        lambda length, theta: transfer_trace(length,
+                                                             theta + 0.3))
+    with pytest.raises(ValueError, match="not the one-site translation"):
+        hamiltonian_from_transfer(2)
 
 
 def test_transfer_size_limit():
@@ -140,6 +173,9 @@ def test_transfer_size_limit():
         build_transfer_matrix(9, 0.1)
     with pytest.raises(ValueError):
         hamiltonian_from_transfer(7)
+    for length in (1, 0, -1):
+        with pytest.raises(ValueError, match="need at least two sites"):
+            hamiltonian_from_transfer(length)
 
 
 def test_hamiltonian_recovery():
