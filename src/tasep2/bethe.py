@@ -36,12 +36,14 @@ Mallick, J. Phys. A 37, 3321 (2004)):
 
 With the half-integer labels m = j - (p-1)/2, j = 0..p-2, the gap state
 takes the largest-modulus root of each cubic and the middle-modulus root of
-cubic j = 0.  Newton in ln beta starts from beta = 4/27 (its large-L limit,
-where cubic j = 0 reaches its branch point) or, in a chain, from the beta of
-the previous size.  The branch integers come from the principal logarithms
-of the cubic roots, and one fixed-integer `_newton` polish brings the nested
-residual to SOLVER_TOL.  A gap state must have Re gap > 0, and a chain step
-a local gap exponent in (-1.9, -1.3).
+cubic j = 0.  Every size is independent: one vectorized Newton in ln beta,
+one beta per size, solves all sizes of a chain at once from beta = 4/27 (its
+large-L limit, where cubic j = 0 reaches its branch point); `continue_in_L`
+seeds it from the beta of the given root set instead.  The branch integers
+come from the principal logarithms of the cubic roots, and one
+fixed-integer `_newton` polish per size brings the nested residual to
+SOLVER_TOL.  A gap state must have Re gap > 0, and each size of a chain a
+local gap exponent in (-1.9, -1.3) against the size before it.
 
 The residual is O(p log p) and the Jacobian O(p^2).  With principal logs,
 theta = Arg X in (-pi, pi],
@@ -247,7 +249,7 @@ def _newton(Z0, Y0, length, I=None, J=None):
             step = np.linalg.solve(_jacobian(Z, Y, length), -F)
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergenceError(f"singular Jacobian: {exc}") from exc
-        for t in range(30):
+        for t in range(10):
             lam = 0.5 ** t
             Zn, Yn = Z + lam * step[:p], Y + lam * step[p:]
             try:
@@ -411,66 +413,110 @@ GAP_BETA_SEED = 4.0 / 27.0  # beta's large-L limit
 _CUBE_UNITY = np.exp(2j * np.pi / 3.0 * np.arange(3))[:, None]
 
 
-def _gap_s(beta, p):
-    """s = Z/(Z-1) of the p gap-state roots at the scalar beta.
+def _gap_s(c, middle):
+    """s = Z/(Z-1) solving s^2 (s - 1) = c for every entry of c: the
+    largest-modulus root, or where `middle` is true the middle-modulus one.
 
-    Cubic j = 0..p-2 is s^2 (s - 1) = c_j = beta exp(2 pi i m / p) with the
-    half-integer label m = j - (p-1)/2.  All p-1 cubics are solved at once
-    by Cardano's formula: s = t + 1/3 gives t^3 - t/3 - (2/27 + c) = 0, whose
-    roots are t = w u + 1/(9 w u) over the cube roots of unity w, with
-    u^3 = 1/27 + c/2 +- sqrt(c (4 + 27 c) / 108).  The sign that gives the
-    larger |u^3| avoids cancellation.  Each cubic gives its largest-modulus
-    root, and cubic j = 0 also its middle-modulus root; the roots are
-    returned in that order.
+    All cubics are solved at once by Cardano's formula: s = t + 1/3 gives
+    t^3 - t/3 - (2/27 + c) = 0, whose roots are t = w u + 1/(9 w u) over the
+    cube roots of unity w, with u^3 = 1/27 + c/2 +- sqrt(c (4 + 27 c) / 108).
+    The sign that gives the larger |u^3| avoids cancellation.
     """
-    c = beta * np.exp(2j * np.pi * (np.arange(p - 1) - (p - 1) / 2.0) / p)
     half_q = 1.0 / 27.0 + 0.5 * c
     root_disc = np.sqrt(c * (4.0 + 27.0 * c) / 108.0)
     plus, minus = half_q + root_disc, half_q - root_disc
     cube = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
     u = cube ** (1.0 / 3.0) * _CUBE_UNITY
-    s = u + 1.0 / (9.0 * u) + 1.0 / 3.0  # s[w, j]: the three roots of cubic j
+    s = u + 1.0 / (9.0 * u) + 1.0 / 3.0  # s[w, n]: the three roots of cubic n
     s = np.take_along_axis(s, np.argsort(np.abs(s), axis=0), axis=0)
-    s, c = np.append(s[2], s[1, 0]), np.append(c, c[0])
+    s = np.where(middle, s[1], s[2])
     # one Newton step on each cubic takes the closed-form error to roundoff
     return s - (s * s * (s - 1.0) - c) / (s * (3.0 * s - 2.0))
 
 
-def _solve_gap_s(length, beta):
-    """Unpolished s_k of the gap state at `length`, by Newton in u = ln beta
-    from the seed `beta`.
+def _solve_gap_s(lengths, beta):
+    """Unpolished s_k of the gap state at every size in `lengths` at once,
+    by Newton in u = ln beta, one u per size, from the seed `beta`.
 
-    The cubic roots solve every equation once beta^p prod_k Z_k = 1, i.e.
-    g(u) = p u + sum_k ln Z_k = 0 with Im g wrapped to (-pi, pi];
-    g'(u) = p - sum_k 1/(3 s_k - 2).  Logs L, the iteration count and the
-    last |du| at DEBUG.
+    Size L has p = L/3 roots: the largest-modulus root of each cubic
+    j = 0..p-2, s^2 (s - 1) = beta exp(2 pi i m / p) with the half-integer
+    label m = j - (p-1)/2, then the middle-modulus root of cubic j = 0.  The
+    roots of all sizes are solved in one `_gap_s` call.  They solve every
+    equation once beta^p prod_k Z_k = 1, i.e. g(u) = p u + sum_k ln Z_k = 0
+    with Im g wrapped to (-pi, pi]; g'(u) = p - sum_k 1/(3 s_k - 2).  A size
+    is frozen once |du| <= 1e-12; the iteration count and that |du| are
+    logged at DEBUG, with L.  Returns the s of each size and its last |du|,
+    which is above 1e-12 where 50 iterations did not converge.
     """
-    p = length // 3
-    u = np.log(complex(beta))
+    p = np.asarray(lengths) // 3
+    starts = np.cumsum(p) - p
+    size = np.repeat(np.arange(len(p)), p)  # the size of each root
+    j = np.arange(len(size)) - starts[size]
+    middle = j == p[size] - 1  # the last root of a size: cubic j = 0 again
+    j[middle] = 0
+    phase = np.exp(2j * np.pi * (j - (p[size] - 1) / 2.0) / p[size])
+    u = np.full(len(p), np.log(complex(beta)))
+    step = np.full(len(p), np.inf)
+    iterations = np.zeros(len(p), dtype=int)  # 0 until the size is frozen
     for it in range(1, 51):
-        s = _gap_s(np.exp(u), p)
-        g = p * u + np.log(s / (s - 1.0)).sum()
-        g = complex(g.real, np.angle(np.exp(1j * g.imag)))
-        du = g / (p - np.sum(1.0 / (3.0 * s - 2.0)))
-        u -= du
-        if abs(du) <= 1e-12:
+        s = _gap_s(np.exp(u)[size] * phase, middle)
+        g = p * u + np.add.reduceat(np.log(s / (s - 1.0)), starts)
+        g = g.real + 1j * np.angle(np.exp(1j * g.imag))
+        du = g / (p - np.add.reduceat(1.0 / (3.0 * s - 2.0), starts))
+        running = iterations == 0
+        u[running] -= du[running]
+        step[running] = np.abs(du[running])
+        iterations[running & (step <= 1e-12)] = it
+        if iterations.all():
+            break
+    s = np.split(_gap_s(np.exp(u)[size] * phase, middle), starts[1:])
+    for length, n, last in zip(lengths, iterations, step):
+        if n:
             logger.debug("L=%s: ln beta converged in %d iterations, "
-                         "|du| %.3e", length, it, abs(du))
-            return _gap_s(np.exp(u), p)
-    raise NewtonDivergenceError(
-        f"L={length}: no convergence in ln beta (last step {abs(du):.3e})")
+                         "|du| %.3e", length, n, last)
+    return s, step
 
 
-def _solve_gap(length, beta):
-    """Gap-state root set at `length` from the scalar seed `beta`: cubic
-    roots, branch integers from their principal logarithms, then one
-    fixed-integer `_newton` polish of the nested system."""
-    s = _solve_gap_s(length, beta)
-    Z, Y, I, J, res = _newton(s / (s - 1.0), np.zeros(0, complex), length)
-    roots = BetheRootSet.from_big_z(length, Z, Y, I, J, res)
-    if energy_from_roots(roots).real <= 0:
-        raise NewtonDivergenceError(f"L={length}: state has nonpositive gap")
-    return roots
+def _gap_chain(lengths, beta, before):
+    """Gap-state root sets at the increasing `lengths` from the scalar seed
+    `beta`: cubic roots of every size from `_solve_gap_s`, then for each
+    size in turn branch integers from their principal logarithms and one
+    fixed-integer `_newton` polish of the nested system.
+
+    Each state must have Re gap > 0 and a local gap exponent in
+    (-1.9, -1.3) against the size before it: the previous size, or for the
+    first the root set `before` unless that is None.  A failing size raises
+    its `BetheError` with the root sets of the smaller sizes attached as
+    `exc.chain`.
+    """
+    s_all, steps = _solve_gap_s(lengths, beta)
+    chain = {}
+    prev = (None if before is None
+            else (before.length, energy_from_roots(before).real))
+    try:
+        for length, s, step in zip(lengths, s_all, steps):
+            if not step <= 1e-12:
+                raise NewtonDivergenceError(
+                    f"L={length}: no convergence in ln beta "
+                    f"(last step {step:.3e})")
+            Z, Y, I, J, res = _newton(s / (s - 1.0), np.zeros(0, complex),
+                                      length)
+            roots = BetheRootSet.from_big_z(length, Z, Y, I, J, res)
+            gap = energy_from_roots(roots).real
+            if gap <= 0:
+                raise NewtonDivergenceError(
+                    f"L={length}: state has nonpositive gap")
+            if prev is not None:
+                ext = np.log(prev[1] / gap) / np.log(prev[0] / length)
+                if not -1.9 < ext < -1.3:
+                    raise NewtonDivergenceError(
+                        f"L={length}: continued state off the gap branch "
+                        f"(local exponent {ext:.3f})")
+            chain[length], prev = roots, (length, gap)
+    except BetheError as exc:
+        exc.chain = chain
+        raise
+    return chain
 
 
 def continue_in_L(roots):
@@ -480,35 +526,21 @@ def continue_in_L(roots):
     beta^p prod_k Z_k = 1), solves at L+3 and verifies the continued state
     by its local gap exponent.
     """
-    target_length = roots.length + 3
+    length = roots.length + 3
     beta = np.exp(-np.mean(np.log(roots.big_z)))
-    new = _solve_gap(target_length, beta)
-    ext = (np.log(energy_from_roots(roots).real / energy_from_roots(new).real)
-           / np.log(roots.length / target_length))
-    if not -1.9 < ext < -1.3:
-        raise NewtonDivergenceError(
-            f"L={target_length}: continued state off the gap branch "
-            f"(local exponent {ext:.3f})")
-    return new
+    return _gap_chain([length], beta, roots)[length]
 
 
 def solve_gap_chain(max_length):
-    """Gap-branch root sets for every L in 6, 9, ..., max_length.
+    """Gap-branch root sets for every L in 6, 9, ..., max_length, all
+    seeded from beta = 4/27 (see `_gap_chain`).
 
-    A failing step raises its `BetheError` with the converged prefix
+    A failing size raises its `BetheError` with the converged prefix
     attached as `exc.chain`.
     """
     if max_length < 6 or max_length % 3:
         raise ValueError("max_length must be a multiple of 3, at least 6")
-    chain = {}
-    try:
-        chain[6] = _solve_gap(6, GAP_BETA_SEED)
-        for length in range(9, max_length + 1, 3):
-            chain[length] = continue_in_L(chain[length - 3])
-    except BetheError as exc:
-        exc.chain = chain
-        raise
-    return chain
+    return _gap_chain(range(6, max_length + 1, 3), GAP_BETA_SEED, None)
 
 
 def solve_gap_state(length):
@@ -516,4 +548,4 @@ def solve_gap_state(length):
     solved directly from the branch-point seed beta = 4/27."""
     if length < 6 or length % 3:
         raise ValueError("length must be a multiple of 3, at least 6")
-    return _solve_gap(length, GAP_BETA_SEED)
+    return _gap_chain([length], GAP_BETA_SEED, None)[length]

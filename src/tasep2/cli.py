@@ -208,17 +208,18 @@ def cmd_bethe(args):
 
 
 def cmd_scale(args):
-    out = _outdir(args)
     try:
         report = scaling.run_scaling_study(args.frm, args.to, omega=args.omega)
     except bethe.BetheError as exc:
         # retain whatever prefix of the chain converged, then fail loudly
         sys.stderr.write(f"scaling study aborted: {exc}\n")
         chain = exc.chain or {}
-        _write_rows(out / "gap_series.csv", args.force, "L,gap_re\n",
+        _write_rows(_outdir(args) / "gap_series.csv", args.force,
+                    "L,gap_re\n",
                     [(l, bethe.energy_from_roots(chain[l]).real)
                      for l in range(args.frm, args.to + 4, 3) if l in chain])
         return EXIT_NUMERICAL
+    out = _outdir(args)
     _write_rows(out / "gap_series.csv", args.force, "L,gap_re\n",
                 report["series"])
     _write_rows(out / "extrapolants.csv", args.force, "L,extrapolant\n",
@@ -242,7 +243,6 @@ def cmd_scale(args):
 def cmd_check(args):
     if args.length is not None and not (args.transfer_hamiltonian or args.all):
         raise ValueError("--length needs --transfer-hamiltonian or --all")
-    out = _outdir(args)
     results = {}
     rng = np.random.default_rng(args.seed)
     if args.yang_baxter or args.all:
@@ -272,7 +272,7 @@ def cmd_check(args):
         raise ValueError("nothing to check: pass --yang-baxter, "
                          "--transfer-hamiltonian, or --all")
     results["pass"] = all(v["pass"] for v in results.values())
-    _write_json(out / "check_report.json", results, args.force)
+    _write_json(_outdir(args) / "check_report.json", results, args.force)
     print(json.dumps({"pass": results["pass"]}))
     return EXIT_OK if results["pass"] else EXIT_NUMERICAL
 

@@ -216,13 +216,17 @@ def momentum_blocks(gen, momenta):
             phases = phases.real.round()
         sel = keep[src] & keep[dst_rep]
         dim = len(rep_rows)
-        # orbit folding makes duplicates and zeros: sum them, drop the zeros
-        coo = sp.coo_array((vals[sel] * phases[dst_shift[sel]],
-                            (index[dst_rep[sel]], index[src[sel]])),
-                           shape=(dim, dim))
-        coo.sum_duplicates()
-        coo.eliminate_zeros()
-        blocks.append(SectorGenerator(length, coo.row, coo.col, coo.data,
+        # orbit folding makes duplicates and zeros: sort on (row, col), sum
+        # each run of one key, drop the zeros
+        key = index[dst_rep[sel]] * dim + index[src[sel]]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        data = np.add.reduceat((vals[sel] * phases[dst_shift[sel]])[order],
+                               first)
+        nonzero = data != 0
+        row, col = np.divmod(key[first][nonzero], dim)
+        blocks.append(SectorGenerator(length, row, col, data[nonzero],
                                       packs[rep_rows], momentum=k))
     return blocks
 

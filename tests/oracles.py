@@ -8,7 +8,10 @@ kernels, so the two routes check each other.
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
+
+from tasep2.lattice import orbit_table
 
 A, B, V = 0, 1, 2
 
@@ -201,3 +204,30 @@ def monodromy_blocks(t, length):
                                 for c in range(3))
                             for b in range(3)] for a in range(3)])
     return blocks
+
+
+def momentum_block_coo(gen, k):
+    """Momentum block k of a sector generator with the orbit fold done by
+    scipy's `coo_array` (`sum_duplicates`, then `eliminate_zeros`), on the
+    orbit table of `tasep2.lattice`: a reference for the fold alone."""
+    length, packs = gen.length, gen.packs
+    rep, shift, period = orbit_table(length, packs)
+    is_rep = rep == np.arange(len(packs))
+    on_rep = is_rep[gen.cols]
+    src, dst = gen.cols[on_rep], gen.rows[on_rep]
+    vals = gen.vals[on_rep] * np.sqrt(period[src] / period[dst])
+    keep = is_rep & ((k * period) % length == 0)
+    rep_rows = np.flatnonzero(keep)
+    index = np.full(len(packs), -1, dtype=np.int64)
+    index[rep_rows] = np.arange(len(rep_rows))
+    phases = np.array([np.exp(2j * np.pi * k / length) ** s
+                       for s in range(length)])
+    if 2 * k % length == 0:
+        phases = phases.real.round()
+    sel = keep[src] & keep[rep[dst]]
+    coo = sp.coo_array((vals[sel] * phases[shift[dst][sel]],
+                        (index[rep[dst][sel]], index[src[sel]])),
+                       shape=(len(rep_rows), len(rep_rows)))
+    coo.sum_duplicates()
+    coo.eliminate_zeros()
+    return coo.row, coo.col, coo.data

@@ -399,9 +399,9 @@ def test_gap_cubic_roots_match_numpy_roots():
             by_modulus = [sorted(np.roots([1.0, -1.0, 0.0, -cj]), key=abs)
                           for cj in c]
             ref = np.array([r[2] for r in by_modulus] + [by_modulus[0][1]])
-            s = _gap_s(beta, p)
-            np.testing.assert_allclose(s, ref, rtol=1e-14, atol=0)
             c = np.append(c, c[0])
+            s = _gap_s(c, np.arange(p) == p - 1)
+            np.testing.assert_allclose(s, ref, rtol=1e-14, atol=0)
             terms = np.abs(s) ** 3 + np.abs(s) ** 2 + np.abs(c)
             assert np.all(np.abs(s * s * (s - 1.0) - c) <= 4 * eps * terms)
 
@@ -454,16 +454,16 @@ def test_newton_accepts_at_roundoff_floor_and_logs(gap6, caplog,
 
 
 def test_chain_step_failure_raises_with_prefix(gap_chain_36, monkeypatch):
-    """A failure inside a chain step is not swallowed: it leaves
+    """A failure in the per-size polish is not swallowed: it leaves
     `solve_gap_chain` as a `BetheError` carrying the converged prefix."""
-    real = bethe._solve_gap_s
+    real = bethe._newton
 
-    def fail_at_15(length, beta):
+    def fail_at_15(Z0, Y0, length, *args):
         if length == 15:
             raise NewtonDivergenceError("forced failure")
-        return real(length, beta)
+        return real(Z0, Y0, length, *args)
 
-    monkeypatch.setattr(bethe, "_solve_gap_s", fail_at_15)
+    monkeypatch.setattr(bethe, "_newton", fail_at_15)
     with pytest.raises(BetheError, match="forced failure") as info:
         solve_gap_chain(33)
     assert sorted(info.value.chain) == [6, 9, 12]
@@ -515,7 +515,7 @@ def test_continuation_prediction_accuracy(gap_chain_36):
     """The unpolished cubic roots at L=36, from the beta of L=33, lie on
     the polished ones."""
     beta = np.exp(-np.mean(np.log(gap_chain_36[33].big_z)))
-    s = bethe._solve_gap_s(36, beta)
+    s = bethe._solve_gap_s([36], beta)[0][0]
     lam_cubic = 0.5 * np.log(s / (s - 1.0))
     lam = 0.5 * np.log(gap_chain_36[36].big_z)
     assert oracles.multiset_distance(lam_cubic, lam) < 0.01
@@ -524,19 +524,23 @@ def test_continuation_prediction_accuracy(gap_chain_36):
 def test_decoupled_energy_matches_nested(gap_chain_360):
     """p - sum s_k at the unpolished cubic roots, solved from beta = 4/27,
     is the polished nested energy for every L <= 330."""
-    for length in range(6, 331, 3):
-        s = bethe._solve_gap_s(length, bethe.GAP_BETA_SEED)
+    lengths = range(6, 331, 3)
+    s_all, _ = bethe._solve_gap_s(lengths, bethe.GAP_BETA_SEED)
+    for length, s in zip(lengths, s_all):
         e = energy_from_roots(gap_chain_360[length])
         assert abs(length // 3 - s.sum() - e) <= 1e-12, length
 
 
 def test_direct_gap_state_matches_chain(gap_chain_360):
-    direct = solve_gap_state(360)
-    chained = gap_chain_360[360]
-    np.testing.assert_array_equal(direct.branch_integers,
-                                  chained.branch_integers)
-    assert abs(energy_from_roots(direct)
-               - energy_from_roots(chained)) <= 1e-12
+    """Every size of the batched chain is the root set that solving that size
+    alone gives, bit for bit: the batched ln beta Newton keeps the sizes
+    independent."""
+    for length, chained in gap_chain_360.items():
+        direct = solve_gap_state(length)
+        np.testing.assert_array_equal(direct.big_z, chained.big_z)
+        np.testing.assert_array_equal(direct.branch_integers,
+                                      chained.branch_integers)
+        assert direct.residual_norm == chained.residual_norm, length
 
 
 def test_gap_state_needs_no_chain(monkeypatch):

@@ -285,21 +285,21 @@ def test_scale_coarse_range(tmp_path):
 
 
 def test_scale_failure_writes_converged_prefix(tmp_path, monkeypatch):
-    """A failed continuation step keeps the converged prefix of the chain
+    """A failed size of the chain keeps the converged prefix of the chain
     without solving the chain again."""
-    continue_in_l, solve_gap_chain = bethe.continue_in_L, bethe.solve_gap_chain
+    newton, solve_gap_chain = bethe._newton, bethe.solve_gap_chain
     chain_calls = []
 
-    def failing_step(roots):
-        if roots.length + 3 == 15:
+    def failing_step(Z0, Y0, length, *args):
+        if length == 15:
             raise bethe.NewtonDivergenceError("injected failure at L=15")
-        return continue_in_l(roots)
+        return newton(Z0, Y0, length, *args)
 
     def counted_chain(*args, **kwargs):
         chain_calls.append(args)
         return solve_gap_chain(*args, **kwargs)
 
-    monkeypatch.setattr(bethe, "continue_in_L", failing_step)
+    monkeypatch.setattr(bethe, "_newton", failing_step)
     monkeypatch.setattr(bethe, "solve_gap_chain", counted_chain)
     rc = run(["scale", "--from", "6", "--to", "33",
               "--output-dir", str(tmp_path)])
@@ -345,6 +345,18 @@ def test_check_length_domain_error(tmp_path, capsys, argv, message):
     assert rc == cli.EXIT_DOMAIN
     assert message in capsys.readouterr().err
     assert not (tmp_path / "check_report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scale", "--from", "7", "--to", "33"],
+    ["check", "--yang-baxter", "--triples", "0"],
+    ["check"],
+])
+def test_domain_error_creates_no_output_dir(tmp_path, argv):
+    """A run refused for its arguments leaves no output directory behind."""
+    out = tmp_path / "out"
+    assert run([*argv, "--output-dir", str(out)]) == cli.EXIT_DOMAIN
+    assert not out.exists()
 
 
 def test_check_transfer_hamiltonian(tmp_path):
