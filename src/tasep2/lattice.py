@@ -16,12 +16,21 @@ the most significant trit, so ascending packed order is lexicographic in the
 site list.  Translation moves the content of site j to site j+1.  Sector
 codes, move assembly and translation orbits are vectorized over the sorted
 code array; targets are located by binary search in it.
+
+CP reverses the site order and maps digit d to 2 - d (A <-> vacancy, B
+fixed).  It turns every move into a move, so it commutes with H, and
+CP T CP^-1 = T^-1.  It takes sector (L, n_a, n_b) to (L, n_vac, n_b): a
+sector with n_a = n_vac, the paper's (L, L/3, L/3) among them, is mapped
+onto itself, and `real_form` writes each of its momentum blocks as a real
+matrix.  (10,3,3) is not: CP maps it onto (10,4,3).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+
+REAL_TOL = 1e-12  # |Im| of a real form, relative to its largest entry
 
 
 @dataclass(frozen=True)
@@ -48,8 +57,8 @@ class Sector:
 @dataclass
 class SectorGenerator:
     """Sparse generator block: duplicate-free COO triplets with no zero
-    values, (row, col)-sorted in momentum blocks and in assembly order in
-    sector and full-space generators."""
+    values, (row, col)-sorted in momentum blocks and their real forms and in
+    assembly order in sector and full-space generators."""
 
     length: int  # sites of the ring
     rows: np.ndarray
@@ -57,6 +66,7 @@ class SectorGenerator:
     vals: np.ndarray
     packs: np.ndarray = field(repr=False)
     momentum: int | None = None  # k of a block made by momentum_blocks
+    cp_real: bool = False  # a block's real form, made by real_form
 
     @property
     def dimension(self):
@@ -215,20 +225,89 @@ def momentum_blocks(gen, momenta):
         if 2 * k % length == 0:
             phases = phases.real.round()
         sel = keep[src] & keep[dst_rep]
-        dim = len(rep_rows)
-        # orbit folding makes duplicates and zeros: sort on (row, col), sum
-        # each run of one key, drop the zeros
-        key = index[dst_rep[sel]] * dim + index[src[sel]]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        data = np.add.reduceat((vals[sel] * phases[dst_shift[sel]])[order],
-                               first)
-        nonzero = data != 0
-        row, col = np.divmod(key[first][nonzero], dim)
-        blocks.append(SectorGenerator(length, row, col, data[nonzero],
+        row, col, data = _fold(index[dst_rep[sel]], index[src[sel]],
+                               vals[sel] * phases[dst_shift[sel]],
+                               len(rep_rows))
+        blocks.append(SectorGenerator(length, row, col, data,
                                       packs[rep_rows], momentum=k))
     return blocks
+
+
+def _fold(rows, cols, vals, dim):
+    """Duplicate-free (row, col)-sorted triplets with no zero values: a
+    stable sort on (row, col), a sum over each run of one key, the zeros
+    dropped."""
+    key = rows * dim + cols
+    order = key.argsort(kind="stable")
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    first = first.nonzero()[0]
+    data = np.add.reduceat(vals[order], first)
+    nonzero = data != 0
+    row, col = np.divmod(key[first[nonzero]], dim)
+    return row, col, data[nonzero]
+
+
+def real_form(blk):
+    """The block in a basis of Theta-fixed vectors, where it is real, or None.
+
+    Returns R = U^H B U with B the block and U unitary, or None when B is
+    already real (k = 0, k = L/2, empty, or a real form) or CP takes one of
+    its representatives outside it (in a sector, exactly when n_a != n_vac).
+    Representative a of period d stands for |a> = d^(-1/2) sum_s w^s T^s a,
+    w = exp(2 pi i k / L).  With b = rep(CP a) and t the translations taking
+    CP a onto b, Theta = CP conj maps |a> to w^t |b>; Theta is an
+    antiunitary involution commuting with B, so B is real on its fixed
+    vectors: (|a> + w^t |b>)/sqrt 2 at index a and i(|a> - w^t |b>)/sqrt 2
+    at index b for a < b, and exp(i pi k t / L) |a> for a = b.  U has at
+    most two entries per row, so each triplet of B gives at most four of R,
+    folded as in `momentum_blocks`.  An imaginary part above roundoff
+    raises.
+    """
+    length, k, packs = blk.length, blk.momentum, blk.packs
+    if k is None:
+        raise ValueError("real_form needs a momentum block")
+    if blk.cp_real or 2 * k % length == 0 or not len(packs):
+        return None
+    low = 3 ** np.arange(length, dtype=np.int64)  # 3^s, s = 0..L-1
+    digits = packs[:, None] // low % 3  # site L-1-s in column s
+    # CP takes digit sum S to 2L - S: a CP-closed block has mean sum L
+    if digits.sum() != length * len(packs):
+        return None
+    mirror = 3 ** length - 1 - digits @ low[::-1]  # CP a
+    # T^s x = x // 3^s + (x mod 3^s) 3^(L-s)
+    quo, rem = np.divmod(mirror[:, None], low)
+    turns = quo + rem * (3 ** length // low)
+    shift, image = turns.argmin(axis=1), turns.min(axis=1)
+    pair = np.searchsorted(packs, image)
+    if np.any(packs.take(pair, mode="clip") != image):
+        return None
+    # U[a, a] and U[a, pair a]; a self-paired row has only the first
+    index = np.arange(len(packs))
+    twist = np.exp(1j * np.pi * k / length * shift)  # w^(t/2)
+    half = np.sqrt(0.5)
+    lower, alone = index < pair, index == pair
+    own = np.where(lower, half, -1j * half * twist * twist)
+    own[alone] = twist[alone]
+    other = np.where(lower, 1j * half, half * twist * twist)
+    other[alone] = 0
+    # R[i, j] += conj(U[r, i]) B[r, c] U[c, j], i in {r, pair r}, j in
+    # {c, pair c}
+    r, c, pr, pc = blk.rows, blk.cols, pair[blk.rows], pair[blk.cols]
+    left = (own[r].conj() * blk.vals, other[r].conj() * blk.vals)
+    right = (own[c], other[c])
+    row, col, data = _fold(np.concatenate((r, r, pr, pr)),
+                           np.concatenate((c, pc, c, pc)),
+                           np.concatenate([x * y for x in left
+                                           for y in right]), len(packs))
+    imag = np.abs(data.imag).max(initial=0)
+    if imag > REAL_TOL * np.abs(data).max(initial=0):
+        raise ValueError(f"real form of k = {k} block is not real: "
+                         f"|Im| up to {imag:.3e}")
+    keep = data.real != 0
+    return SectorGenerator(length, row[keep], col[keep], data.real[keep],
+                           packs, momentum=k, cp_real=True)
 
 
 def project_momentum(gen, k):

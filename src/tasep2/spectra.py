@@ -11,7 +11,14 @@ block at a time and return the union as one result for the whole sector.
 The generator is real, so block L-k is the complex conjugate of block k:
 only k = 0..L//2 are solved, and the eigenvalues of k = 1..(L-1)//2 are
 entered twice, once conjugated.  Blocks k = 0 and k = L/2 are real matrices.
-A generator that is already a momentum block is solved as it is.
+So is every other block of a sector with n_a = n_vac, such as the paper's
+(L, L/3, L/3), up to a change of basis: CP (reverse the ring, swap A and
+vacancy) maps the sector onto itself, commutes with H and inverts the
+translation, so Theta = CP conj maps each block onto itself, and
+`lattice.real_form` writes the block in Theta-fixed vectors, where it is
+real.  Each block, and a generator that is already a momentum block, is
+solved in that real form where it has one, else as it is.  (10,3,3) has
+none: CP maps it onto (10,4,3).
 
 `dense_spectrum` returns every eigenvalue; its `dense_limit` bounds the
 largest block handed to LAPACK, not the sector dimension.  `krylov_gap`
@@ -24,8 +31,12 @@ once by SuperLU with minimum-degree ordering on A + A^T (`MMD_AT_PLUS_A`) in
 symmetric mode, which keeps partial pivoting but skips the unsymmetric column
 elimination tree: the same L + U nonzeros, fewer padded supernode entries
 (1.22M stored instead of 1.83M on the (12,4,4) k = 1 block), half the factor
-time.  Each factorization is logged at DEBUG on `tasep2.spectra` with the
-block's dim, nnz, stored L + U fill (`lu.nnz`; `lu.L`, `lu.U` copy) and time.
+time.  In real arithmetic the (12,4,4) k = 1 block's factor stores 1.46M
+entries instead of 1.22M complex ones in about two thirds of the time, and
+`krylov_gap` on that block takes about 60% of the complex time.  Each
+factorization is logged at DEBUG on `tasep2.spectra` with the block's dim,
+the nnz of the factored H - SIGMA I, whether it is a real form, the stored
+L + U fill (`lu.nnz`; `lu.L`, `lu.U` copy) and time.
 """
 
 import logging
@@ -37,7 +48,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lattice import momentum_blocks
+from .lattice import momentum_blocks, real_form
 
 logger = logging.getLogger(__name__)
 
@@ -88,16 +99,23 @@ def _result(vals):
 def _solve_blocks(gen, solve):
     """Union of `solve(block)` over the momentum blocks k = 0..L//2 of a
     generator, each k = 1..(L-1)//2 entered with its conjugate twin; a
-    generator that is already a momentum block is solved as it is."""
+    generator that is already a momentum block is the one block.  A block
+    is handed to `solve` in its real form where it has one."""
     if gen.momentum is not None:
-        return solve(gen)
+        return solve(_real_if_possible(gen))
     length = gen.length
     half = range(length // 2 + 1)
     parts = []
     for k, blk in zip(half, momentum_blocks(gen, half)):
-        vals = solve(blk)
+        vals = solve(_real_if_possible(blk))
         parts += [vals, vals.conj()] if 0 < k < length - k else [vals]
     return np.concatenate(parts)
+
+
+def _real_if_possible(blk):
+    """The block's real form where CP gives one, else the block."""
+    real = real_form(blk)
+    return blk if real is None else real
 
 
 def _dense_eigvals(gen):
@@ -131,8 +149,9 @@ def _arnoldi(gen, k, v0):
     start = time.perf_counter()
     lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
                    options={"SymmetricMode": True})
-    logger.debug("factored block: dim %d, nnz %d, L+U fill %d, %.3f s",
-                 n, len(gen.vals), lu.nnz, time.perf_counter() - start)
+    logger.debug("factored block: dim %d, nnz %d, real form %s, "
+                 "L+U fill %d, %.3f s", n, shifted.nnz, gen.cp_real, lu.nnz,
+                 time.perf_counter() - start)
     op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=mat.dtype)
     try:
         vals, vecs = spla.eigs(mat, k=k, sigma=SIGMA, OPinv=op, which="LM",

@@ -99,7 +99,7 @@ def transfer_trace(length, theta):
 
 
 def hamiltonian_from_transfer(length):
-    """d(log tau)/dtheta at theta = 0 as a sparse matrix (2 <= length <= 6).
+    """d(log tau)/dtheta at theta = 0 as a sparse matrix (2 <= length <= 8).
 
     The R-matrix entries are e^theta, 2 sinh theta and e^-theta, so tau is a
     Laurent polynomial of degree <= L in e^theta with real coefficients, and
@@ -110,8 +110,6 @@ def hamiltonian_from_transfer(length):
     """
     if length < 2:
         raise ValueError("need at least two sites")
-    if length > 6:
-        raise ValueError("logarithmic derivative limited to L <= 6")
     codes = np.arange(3 ** length)
     shift = sp.csr_matrix((np.ones(len(codes)),
                            (translate_packed(codes, length), codes)))

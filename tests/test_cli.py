@@ -58,6 +58,19 @@ def test_diag_momentum_block(tmp_path):
     assert data["k"] == 0 and data["zero_count"] == 1
 
 
+def test_diag_momentum_block_solved_in_real_form(tmp_path):
+    """(9,3,3) k = 1 is solved in its real form and keeps the gap of the
+    complex block's dense spectrum, 0.27143713655943460 +
+    0.28236121493727280i, to 1e-12."""
+    rc = run(["diag", "--length", "9", "--na", "3", "--nb", "3",
+              "--momentum", "1", "--output-dir", str(tmp_path)])
+    assert rc == 0
+    data = json.loads((tmp_path / "diag_L9_na3_nb3_k1.json").read_text())
+    gap = complex(data["gap_re"], data["gap_im"])
+    assert abs(gap - (0.2714371365594346 + 0.2823612149372728j)) <= 1e-12
+
+
+
 def test_diag_spectrum_export(tmp_path):
     rc = run(["diag", "--length", "3", "--na", "1", "--nb", "1",
               "--spectrum", "--output-dir", str(tmp_path)])

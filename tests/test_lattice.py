@@ -11,7 +11,7 @@ from tasep2 import (
     dense_spectrum,
     project_momentum,
 )
-from tasep2.lattice import momentum_blocks, sector_packs
+from tasep2.lattice import momentum_blocks, real_form, sector_packs
 
 import oracles
 
@@ -156,3 +156,42 @@ def test_zero_momentum_block_has_steady_state():
     blk = project_momentum(gen, 0)
     vals = dense_spectrum(blk).eigenvalues
     assert np.min(np.abs(vals)) <= 1e-10
+
+
+def test_real_form_is_real_with_the_block_spectrum():
+    """Every k != 0, L/2 block of every sector with L <= 8 and n_a = n_vac,
+    and of the full space with L <= 5, has a real form with real values and
+    the block's eigenvalues as a multiset to 1e-12."""
+    gens = [build_hamiltonian_tasep(length, sector)
+            for length in range(2, 9) for sector in all_sectors(length)
+            if sector.n_a == sector.n_vac]
+    gens += [build_hamiltonian_tasep(length) for length in range(2, 6)]
+    solved = 0
+    for gen in gens:
+        momenta = [k for k in range(gen.length) if 2 * k % gen.length]
+        for k, blk in zip(momenta, momentum_blocks(gen, momenta)):
+            real = real_form(blk)
+            if blk.dimension == 0:
+                assert real is None
+                continue
+            assert real.vals.dtype == np.float64 and real.cp_real
+            assert (real.dimension, real.momentum) == (blk.dimension, k)
+            want = scipy.linalg.eigvals(blk.to_dense())
+            got = scipy.linalg.eigvals(real.to_dense())
+            assert oracles.multiset_distance(got, want) <= 1e-12, (gen, k)
+            solved += 1
+    assert solved == 76
+
+
+def test_real_form_only_where_cp_maps_the_block_onto_itself():
+    """None for k = 0 and k = L/2, for (10,3,3) (CP maps it onto (10,4,3))
+    and for a real form; a generator that is no momentum block raises."""
+    gen = build_hamiltonian_tasep(6, Sector(6, 2, 2))
+    blocks = momentum_blocks(gen, range(6))
+    assert [real_form(b) is None for b in blocks] == [
+        True, False, False, True, False, False]
+    assert real_form(real_form(blocks[1])) is None
+    odd = build_hamiltonian_tasep(10, Sector(10, 3, 3))
+    assert all(real_form(b) is None for b in momentum_blocks(odd, range(10)))
+    with pytest.raises(ValueError):
+        real_form(gen)

@@ -19,7 +19,7 @@ from tasep2 import (
     project_momentum,
     spectra,
 )
-from tasep2.lattice import momentum_blocks
+from tasep2.lattice import momentum_blocks, real_form
 
 import oracles
 
@@ -181,17 +181,23 @@ def test_krylov_residual_contract_raises(monkeypatch):
 
 
 def test_krylov_logs_each_factored_block(caplog):
-    """One DEBUG record per shift-inverted block: dim, nnz, the L+U fill
-    SuperLU stores and the factor time."""
+    """One DEBUG record per shift-inverted block: dim, the nnz of the
+    factored H - SIGMA I, whether it is the block's real form (k = 1 and 2
+    of this n_a = n_vac sector), the L+U fill SuperLU stores and the factor
+    time."""
     gen = build_hamiltonian_tasep(6, Sector(6, 2, 2))
     with caplog.at_level(logging.DEBUG, logger="tasep2.spectra"):
         krylov_gap(gen, seed=0)
     records = [r for r in caplog.records if r.name == "tasep2.spectra"]
-    blocks = momentum_blocks(gen, range(4))
-    assert [r.args[:2] for r in records] == [
-        (b.dimension, len(b.vals)) for b in blocks]
+    factored = [b if real_form(b) is None else real_form(b)
+                for b in momentum_blocks(gen, range(4))]
+    assert [r.args[:3] for r in records] == [
+        (m.dimension,
+         (m.to_csr() - spectra.SIGMA * sp.identity(m.dimension)).nnz,
+         m.cp_real) for m in factored]
+    assert [m.cp_real for m in factored] == [False, True, True, False]
     for rec in records:
-        dim, nnz, fill, seconds = rec.args
+        dim, nnz, real, fill, seconds = rec.args
         assert rec.levelno == logging.DEBUG
         assert nnz <= fill and seconds >= 0
 

@@ -171,8 +171,8 @@ def test_tau_zero_is_translation(monkeypatch):
 def test_transfer_size_limit():
     with pytest.raises(ValueError):
         build_transfer_matrix(9, 0.1)
-    with pytest.raises(ValueError):
-        hamiltonian_from_transfer(7)
+    with pytest.raises(ValueError, match="1 <= L <= 8"):
+        hamiltonian_from_transfer(9)
     for length in (1, 0, -1):
         with pytest.raises(ValueError, match="need at least two sites"):
             hamiltonian_from_transfer(length)
@@ -191,3 +191,9 @@ def test_exact_derivative_recovers_generator_to_roundoff():
     generator agrees to roundoff, far inside the 1e-6 gate above."""
     for length in (2, 3, 4, 5):
         assert transfer_hamiltonian_check(length)["discrepancy"] <= 1e-12
+
+
+def test_transfer_hamiltonian_past_six_sites():
+    """The derivative needs only tau at L roots of unity, so it is not
+    limited below the transfer matrix's own L <= 8."""
+    assert transfer_hamiltonian_check(7)["discrepancy"] <= 1e-12
