@@ -37,13 +37,15 @@ Mallick, J. Phys. A 37, 3321 (2004)):
 With the half-integer labels m = j - (p-1)/2, j = 0..p-2, the gap state
 takes the largest-modulus root of each cubic and the middle-modulus root of
 cubic j = 0.  Every size is independent: one vectorized Newton in ln beta,
-one beta per size, solves all sizes of a chain at once from beta = 4/27 (its
-large-L limit, where cubic j = 0 reaches its branch point); `continue_in_L`
-seeds it from the beta of the given root set instead.  The branch integers
-come from the principal logarithms of the cubic roots, and one
-fixed-integer `_newton` polish per size brings the nested residual to
-SOLVER_TOL.  A gap state must have Re gap > 0, and each size of a chain a
-local gap exponent in (-1.9, -1.3) against the size before it.
+one beta per size, solves the sizes of a chain in blocks of consecutive
+sizes with at most GAP_BLOCK_ROOTS roots, from beta = 4/27 (its large-L
+limit, where cubic j = 0 reaches its branch point), so the batch's working
+set does not grow with the chain; `continue_in_L` seeds it from the beta of
+the given root set instead.  The branch integers come from the principal
+logarithms of the cubic roots, and one fixed-integer `_newton` polish per
+size brings the nested residual to SOLVER_TOL.  A gap state must have
+Re gap > 0, and each size of a chain a local gap exponent in (-1.9, -1.3)
+against the size before it.
 
 The residual is O(p log p) and the Jacobian O(p^2).  With principal logs,
 theta = Arg X in (-pi, pi],
@@ -410,6 +412,11 @@ def calibrate_energy_map(length, seed=0):
 # gap state: the one-scalar cubic reduction
 
 GAP_BETA_SEED = 4.0 / 27.0  # beta's large-L limit
+# Cubic roots per batched ln beta solve of a chain.  It bounds the batch's
+# working set, and keeps its arrays under the 256 KiB from which numpy
+# reuses temporaries in place (an in-place complex product can round
+# differently), so each size gets the roots of its one-size solve.
+GAP_BLOCK_ROOTS = 2048
 _CUBE_UNITY = np.exp(2j * np.pi / 3.0 * np.arange(3))[:, None]
 
 
@@ -428,8 +435,10 @@ def _gap_s(c, middle):
     cube = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
     u = cube ** (1.0 / 3.0) * _CUBE_UNITY
     s = u + 1.0 / (9.0 * u) + 1.0 / 3.0  # s[w, n]: the three roots of cubic n
-    s = np.take_along_axis(s, np.argsort(np.abs(s), axis=0), axis=0)
-    s = np.where(middle, s[1], s[2])
+    modulus = np.abs(s)
+    big = modulus.argmax(axis=0)
+    pick = np.where(middle, 3 - big - modulus.argmin(axis=0), big)
+    s = np.take_along_axis(s, pick[None], axis=0)[0]
     # one Newton step on each cubic takes the closed-form error to roundoff
     return s - (s * s * (s - 1.0) - c) / (s * (3.0 * s - 2.0))
 
@@ -441,17 +450,22 @@ def _solve_gap_s(lengths, beta):
     Size L has p = L/3 roots: the largest-modulus root of each cubic
     j = 0..p-2, s^2 (s - 1) = beta exp(2 pi i m / p) with the half-integer
     label m = j - (p-1)/2, then the middle-modulus root of cubic j = 0.  The
-    roots of all sizes are solved in one `_gap_s` call.  They solve every
+    roots of the given sizes are solved in one `_gap_s` call per iteration,
+    so the working set grows with their root count sum L/3 (`_gap_blocks`
+    passes at most GAP_BLOCK_ROOTS, or one size).  They solve every
     equation once beta^p prod_k Z_k = 1, i.e. g(u) = p u + sum_k ln Z_k = 0
     with Im g wrapped to (-pi, pi]; g'(u) = p - sum_k 1/(3 s_k - 2).  A size
     is frozen once |du| <= 1e-12; the iteration count and that |du| are
-    logged at DEBUG, with L.  Returns the s of each size and its last |du|,
+    logged at DEBUG, with L, after one DEBUG record of the first and last L
+    and the root count.  Returns the s of each size and its last |du|,
     which is above 1e-12 where 50 iterations did not converge.
     """
     p = np.asarray(lengths) // 3
     starts = np.cumsum(p) - p
     size = np.repeat(np.arange(len(p)), p)  # the size of each root
     j = np.arange(len(size)) - starts[size]
+    logger.debug("L=%s..%s: one block of %d cubic roots", lengths[0],
+                 lengths[-1], len(size))
     middle = j == p[size] - 1  # the last root of a size: cubic j = 0 again
     j[middle] = 0
     phase = np.exp(2j * np.pi * (j - (p[size] - 1) / 2.0) / p[size])
@@ -477,24 +491,38 @@ def _solve_gap_s(lengths, beta):
     return s, step
 
 
+def _gap_blocks(lengths, beta):
+    """(L, s, last |du|) for each of the increasing `lengths`, from one
+    `_solve_gap_s` call per block of consecutive sizes holding at most
+    GAP_BLOCK_ROOTS roots (or a single size); a block is solved only when
+    the caller reaches it."""
+    block = []
+    for length in lengths:
+        if block and (sum(block) + length) // 3 > GAP_BLOCK_ROOTS:
+            yield from zip(block, *_solve_gap_s(block, beta))
+            block = []
+        block.append(length)
+    if block:
+        yield from zip(block, *_solve_gap_s(block, beta))
+
+
 def _gap_chain(lengths, beta, before):
     """Gap-state root sets at the increasing `lengths` from the scalar seed
-    `beta`: cubic roots of every size from `_solve_gap_s`, then for each
-    size in turn branch integers from their principal logarithms and one
-    fixed-integer `_newton` polish of the nested system.
+    `beta`: cubic roots from `_gap_blocks`, then for each size in turn
+    branch integers from their principal logarithms and one fixed-integer
+    `_newton` polish of the nested system.
 
     Each state must have Re gap > 0 and a local gap exponent in
     (-1.9, -1.3) against the size before it: the previous size, or for the
     first the root set `before` unless that is None.  A failing size raises
     its `BetheError` with the root sets of the smaller sizes attached as
-    `exc.chain`.
+    `exc.chain`, and no later block is solved.
     """
-    s_all, steps = _solve_gap_s(lengths, beta)
     chain = {}
     prev = (None if before is None
             else (before.length, energy_from_roots(before).real))
     try:
-        for length, s, step in zip(lengths, s_all, steps):
+        for length, s, step in _gap_blocks(lengths, beta):
             if not step <= 1e-12:
                 raise NewtonDivergenceError(
                     f"L={length}: no convergence in ln beta "

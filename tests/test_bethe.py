@@ -419,6 +419,79 @@ def test_ln_beta_solve_logs_each_size(caplog):
         assert 1 <= iterations <= 50 and last_step <= 1e-12
 
 
+def test_gap_chain_logs_each_block(caplog, monkeypatch):
+    """One DEBUG record per block of the chain: its first and last L and
+    its root count."""
+    monkeypatch.setattr(bethe, "GAP_BLOCK_ROOTS", 20)
+    with caplog.at_level(logging.DEBUG, logger="tasep2.bethe"):
+        solve_gap_chain(36)
+    records = [r for r in caplog.records if "block" in r.getMessage()]
+    assert [r.args for r in records] == [(6, 18, 20), (21, 24, 15),
+                                         (27, 30, 19), (33, 33, 11),
+                                         (36, 36, 12)]
+    assert all(r.levelno == logging.DEBUG for r in records)
+
+
+def test_gap_chain_solves_sizes_in_root_bounded_blocks(monkeypatch):
+    """`solve_gap_chain` hands `_solve_gap_s` consecutive sizes holding at
+    most GAP_BLOCK_ROOTS roots (or a single size), each block but the last
+    full, and the calls cover the chain once, in order: the 7,259 roots to
+    L = 360 take more than one call."""
+    calls = []
+    real = bethe._solve_gap_s
+
+    def spy(lengths, beta):
+        calls.append(list(lengths))
+        return real(lengths, beta)
+
+    monkeypatch.setattr(bethe, "_solve_gap_s", spy)
+    solve_gap_chain(360)
+    assert [length for block in calls for length in block] == list(
+        range(6, 361, 3))
+    assert len(calls) > 1
+    for block, after in zip(calls, calls[1:] + [None]):
+        assert len(block) == 1 or sum(block) // 3 <= bethe.GAP_BLOCK_ROOTS
+        if after:
+            assert (sum(block) + after[0]) // 3 > bethe.GAP_BLOCK_ROOTS
+
+
+def test_gap_chain_failure_solves_no_later_block(monkeypatch):
+    """A block is solved only when the polish reaches it: a failure at L=27
+    leaves the blocks after its own unsolved."""
+    monkeypatch.setattr(bethe, "GAP_BLOCK_ROOTS", 20)
+    calls = []
+    real_solve, real_newton = bethe._solve_gap_s, bethe._newton
+
+    def spy(lengths, beta):
+        calls.append(list(lengths))
+        return real_solve(lengths, beta)
+
+    def fail_at_27(Z0, Y0, length, *args):
+        if length == 27:
+            raise NewtonDivergenceError("forced failure")
+        return real_newton(Z0, Y0, length, *args)
+
+    monkeypatch.setattr(bethe, "_solve_gap_s", spy)
+    monkeypatch.setattr(bethe, "_newton", fail_at_27)
+    with pytest.raises(BetheError, match="forced failure") as info:
+        solve_gap_chain(60)
+    assert calls == [[6, 9, 12, 15, 18], [21, 24], [27, 30]]
+    assert sorted(info.value.chain) == list(range(6, 25, 3))
+
+
+def test_block_roots_do_not_depend_on_chain_length():
+    """The cubic roots of a size are bit for bit those of its single-size
+    solve in a chain to L = 543.  Its 16,470 roots in one batch would make
+    complex arrays past the 256 KiB at which numpy reuses temporaries in
+    place, and an in-place complex product can round differently."""
+    lengths = range(6, 544, 3)
+    blocked = {length: s for length, s, _ in
+               bethe._gap_blocks(lengths, bethe.GAP_BETA_SEED)}
+    for length in (27, 42, 300, 543):
+        alone = bethe._solve_gap_s([length], bethe.GAP_BETA_SEED)[0][0]
+        np.testing.assert_array_equal(blocked[length], alone)
+
+
 def test_newton_logs_each_solve(caplog):
     """One DEBUG record per converged solve: L, p, Newton steps, line-search
     halvings and the final residual, which is the stored one."""
