@@ -295,7 +295,7 @@ def build_parser():
     p.add_argument("--nb", type=int, required=True)
     p.add_argument("--momentum", type=int, default=None)
     p.add_argument("--krylov", action="store_true",
-                   help="shift-inverted Arnoldi instead of a dense solve")
+                   help="Arnoldi (smallest real parts), not a dense solve")
     p.add_argument("--spectrum", action="store_true",
                    help="also write the full eigenvalue list")
     _add_common(p)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-REAL_TOL = 1e-12  # |Im| of a real form, relative to its largest entry
+REAL_TOL = 1e-12  # roundoff in a real form, relative to its largest entry
 
 
 @dataclass(frozen=True)
@@ -263,7 +263,7 @@ def real_form(blk):
     at index b for a < b, and exp(i pi k t / L) |a> for a = b.  U has at
     most two entries per row, so each triplet of B gives at most four of R,
     folded as in `momentum_blocks`.  An imaginary part above roundoff
-    raises.
+    raises; entries of at most REAL_TOL times the largest are dropped.
     """
     length, k, packs = blk.length, blk.momentum, blk.packs
     if k is None:
@@ -301,11 +301,12 @@ def real_form(blk):
                            np.concatenate((c, pc, c, pc)),
                            np.concatenate([x * y for x in left
                                            for y in right]), len(packs))
+    floor = REAL_TOL * np.abs(data).max(initial=0)
     imag = np.abs(data.imag).max(initial=0)
-    if imag > REAL_TOL * np.abs(data).max(initial=0):
+    if imag > floor:
         raise ValueError(f"real form of k = {k} block is not real: "
                          f"|Im| up to {imag:.3e}")
-    keep = data.real != 0
+    keep = np.abs(data.real) > floor
     return SectorGenerator(length, row[keep], col[keep], data.real[keep],
                            packs, momentum=k, cp_real=True)
 

@@ -22,21 +22,18 @@ none: CP maps it onto (10,4,3).
 
 `dense_spectrum` returns every eigenvalue; its `dense_limit` bounds the
 largest block handed to LAPACK, not the sector dimension.  `krylov_gap`
-returns the min(N_EIGS, dim - 2) eigenvalues of the sector nearest SIGMA,
-taken from the union of each block's nearest ones, so they are the same
-eigenvalues a shift-invert solve of the undivided sector would target.
+returns the min(N_EIGS, dim) eigenvalues of the sector of smallest real
+part, taken from the union of each block's N_EIGS smallest, so the gap is
+the slowest mode also on a momentum block whose spectrum comes nearer zero
+in modes of larger real part.
 
-Each block's H - SIGMA I is assembled in CSC from its triplets and factored
-once by SuperLU with minimum-degree ordering on A + A^T (`MMD_AT_PLUS_A`) in
-symmetric mode, which keeps partial pivoting but skips the unsymmetric column
-elimination tree: the same L + U nonzeros, fewer padded supernode entries
-(1.22M stored instead of 1.83M on the (12,4,4) k = 1 block), half the factor
-time.  In real arithmetic the (12,4,4) k = 1 block's factor stores 1.46M
-entries instead of 1.22M complex ones in about two thirds of the time, and
-`krylov_gap` on that block takes about 60% of the complex time.  Each
-factorization is logged at DEBUG on `tasep2.spectra` with the block's dim,
-the nnz of the factored H - SIGMA I, whether it is a real form, the stored
-L + U fill (`lu.nnz`; `lu.L`, `lu.U` copy) and time.
+ARPACK finds each block's eigenvalues of smallest real part in regular
+mode, from products with the block's CSR matrix alone: no factorization,
+so the memory is the Krylov basis of NCV vectors and the L = 15 (5,5,5)
+k = 1 block (dim 50,450) is within reach.  A block of fewer than
+N_EIGS + 2 states is solved densely.  Each Arnoldi solve is logged at
+DEBUG on `tasep2.spectra` with the block's dim, nnz, whether it is a real
+form, the number of products with the block and the time.
 """
 
 import logging
@@ -45,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lattice import momentum_blocks, real_form
@@ -55,7 +51,7 @@ logger = logging.getLogger(__name__)
 ZERO_TOL = 1e-10
 DENSE_LIMIT = 4000
 N_EIGS = 8  # eigenvalues `krylov_gap` returns
-SIGMA = 1e-3  # shift, just off the zero mode
+NCV = 24  # Arnoldi basis size, the fastest of 20 (ARPACK's default) to 32
 ARNOLDI_TOL = 1e-12  # ARPACK's relative tolerance
 RESIDUAL_TOL = 1e-10  # bound on every returned eigenpair's residual
 
@@ -138,28 +134,30 @@ def dense_spectrum(gen, dense_limit=DENSE_LIMIT):
     return _result(_solve_blocks(gen, solve))
 
 
-def _arnoldi(gen, k, v0):
-    """The k eigenvalues of one block nearest SIGMA, residuals checked."""
+def _arnoldi(gen, v0):
+    """The N_EIGS eigenvalues of one block of smallest real part, residuals
+    checked."""
     n = gen.dimension
     mat = gen.to_csr()
-    diag = np.arange(n)
-    shifted = sp.csc_matrix((np.r_[gen.vals, np.full(n, -SIGMA)],
-                             (np.r_[gen.rows, diag], np.r_[gen.cols, diag])),
-                            shape=(n, n))
+    applied = 0
+
+    def apply(x):
+        nonlocal applied
+        applied += 1
+        return mat @ x
+
+    op = spla.LinearOperator((n, n), matvec=apply, dtype=mat.dtype)
     start = time.perf_counter()
-    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
-                   options={"SymmetricMode": True})
-    logger.debug("factored block: dim %d, nnz %d, real form %s, "
-                 "L+U fill %d, %.3f s", n, shifted.nnz, gen.cp_real, lu.nnz,
-                 time.perf_counter() - start)
-    op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=mat.dtype)
     try:
-        vals, vecs = spla.eigs(mat, k=k, sigma=SIGMA, OPinv=op, which="LM",
+        vals, vecs = spla.eigs(op, k=N_EIGS, ncv=min(NCV, n), which="SR",
                                v0=v0, tol=ARNOLDI_TOL)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"Arnoldi did not converge for dimension {n}: {exc}"
         ) from exc
+    logger.debug("Arnoldi block: dim %d, nnz %d, real form %s, "
+                 "%d products, %.3f s", n, mat.nnz, gen.cp_real, applied,
+                 time.perf_counter() - start)
     resid = (np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
              / np.linalg.norm(vecs, axis=0))
     bad = resid > RESIDUAL_TOL
@@ -171,28 +169,28 @@ def _arnoldi(gen, k, v0):
 
 
 def krylov_gap(gen, seed=0):
-    """Gap and the min(N_EIGS, dim - 2) eigenvalues nearest SIGMA by
-    shift-inverted Arnoldi, one momentum block at a time.
+    """Gap and the min(N_EIGS, dim) eigenvalues of smallest real part by
+    Arnoldi, one momentum block at a time.
 
-    The shift sits just off the known zero mode so the factorized matrix is
-    nonsingular; the zero eigenvalue is recovered and counted in
-    `zero_count`.  The start vectors are drawn from one generator seeded
-    with `seed`, in block order, and every Arnoldi eigenpair is checked
-    against RESIDUAL_TOL (failure raises, never a silent wrong answer).
-    A block with fewer than k + 2 states is solved densely, since ARPACK
+    Each block's N_EIGS eigenvalues of smallest real part are found by
+    ARPACK in regular mode, from sparse products alone; the zero mode is
+    among them in the block that holds it and is counted in `zero_count`.
+    The start vectors are drawn from one generator seeded with `seed`, in
+    block order, and every Arnoldi eigenpair is checked against
+    RESIDUAL_TOL (failure raises, never a silent wrong answer).  A block
+    with fewer than N_EIGS + 2 states is solved densely, since ARPACK
     cannot return all its eigenvalues.
     """
     n = gen.dimension
     if n < 3:
         raise ValueError("block too small for Krylov iteration; use dense_spectrum")
-    k = min(N_EIGS, n - 2)
     rng = np.random.default_rng(seed)
 
     def solve(blk):
-        if blk.dimension < k + 2:
+        if blk.dimension < N_EIGS + 2:
             return _dense_eigvals(blk)
-        return _arnoldi(blk, k, rng.standard_normal(blk.dimension))
+        return _arnoldi(blk, rng.standard_normal(blk.dimension))
 
     vals = _solve_blocks(gen, solve)
-    vals = vals[np.argsort(np.abs(vals - SIGMA), kind="stable")[:k]]
+    vals = vals[np.argsort(vals.real, kind="stable")[:N_EIGS]]
     return _result(vals)

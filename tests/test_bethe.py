@@ -553,7 +553,7 @@ def test_continuation_l9_matches_ed(gap_chain_36, spectrum_l9_equal):
 def test_momentum_block_gaps_match_bethe(spectrum_l9_equal):
     """The gap pair lives in the k=1 and k=L-1 blocks, so the k=1 block
     reproduces the sector gap at L=9 (dense) and the Bethe gap at L=12
-    (shift-inverted), up to complex conjugation."""
+    (Arnoldi), up to complex conjugation."""
     def off(got, want):
         return min(abs(got - want), abs(got - np.conj(want)))
 

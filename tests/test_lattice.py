@@ -9,6 +9,7 @@ from tasep2 import (
     all_sectors,
     build_hamiltonian_tasep,
     dense_spectrum,
+    lattice,
     project_momentum,
 )
 from tasep2.lattice import momentum_blocks, real_form, sector_packs
@@ -181,6 +182,32 @@ def test_real_form_is_real_with_the_block_spectrum():
             assert oracles.multiset_distance(got, want) <= 1e-12, (gen, k)
             solved += 1
     assert solved == 76
+
+
+def test_real_form_keeps_no_roundoff_entry():
+    """Entries that cancel in U^H B U are dropped: no real form of a sector
+    with L <= 12 and n_a = n_vac keeps an entry of at most REAL_TOL times
+    its largest, and at L = 9 the real forms keep the block's eigenvalues
+    to 1e-12 (L <= 8 above)."""
+    forms = 0
+    for length in range(3, 13):
+        for sector in all_sectors(length):
+            if sector.n_a != sector.n_vac:
+                continue
+            gen = build_hamiltonian_tasep(length, sector)
+            momenta = [k for k in range(length // 2 + 1) if 2 * k % length]
+            for k, blk in zip(momenta, momentum_blocks(gen, momenta)):
+                real = real_form(blk)
+                if real is None:
+                    continue
+                size = np.abs(real.vals)
+                assert size.min() > lattice.REAL_TOL * size.max(), (sector, k)
+                if length == 9:
+                    want = scipy.linalg.eigvals(blk.to_dense())
+                    got = scipy.linalg.eigvals(real.to_dense())
+                    assert oracles.multiset_distance(got, want) <= 1e-12
+                forms += 1
+    assert forms == 125
 
 
 def test_real_form_only_where_cp_maps_the_block_onto_itself():

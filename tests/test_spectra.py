@@ -6,7 +6,6 @@ import logging
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
 from tasep2 import (
     ConvergenceError,
@@ -127,15 +126,15 @@ def test_krylov_matches_dense_l9(spectrum_l9_equal, tmp_path):
     assert data["method"] == "krylov"
 
 
-def test_krylov_full_sector_returns_eigenvalues_nearest_sigma(
+def test_krylov_full_sector_returns_eigenvalues_of_smallest_real_part(
         direct_eigs_l9, spectrum_l10_equal):
-    """The block union keeps the N_EIGS eigenvalues of the whole sector
-    nearest SIGMA.  When the N_EIGS-th and the next one are a conjugate pair
-    at equal distance, either may be returned.  The (5,2,1) blocks (dim 6)
-    are too small for ARPACK and are solved densely.  At L=10 the reference
-    is the dense block union, which the tests above check against direct
+    """The block union keeps the N_EIGS eigenvalues of the whole sector of
+    smallest real part.  When the N_EIGS-th and the next one are a
+    conjugate pair, either may be returned.  The (5,2,1) blocks (dim 6) are
+    too small for ARPACK and are solved densely.  At L=10 the reference is
+    the dense block union, which the tests above check against direct
     LAPACK."""
-    n_eigs, sigma = spectra.N_EIGS, spectra.SIGMA
+    n_eigs = spectra.N_EIGS
     small = build_hamiltonian_tasep(5, Sector(5, 2, 1))
     cases = ((small, scipy.linalg.eigvals(small.to_dense())),
              (build_hamiltonian_tasep(9, Sector(9, 3, 3)), direct_eigs_l9),
@@ -143,12 +142,29 @@ def test_krylov_full_sector_returns_eigenvalues_nearest_sigma(
               spectrum_l10_equal.eigenvalues))
     for gen, ref in cases:
         res = krylov_gap(gen, seed=0)
-        ref = ref[np.argsort(np.abs(ref - sigma), kind="stable")]
+        ref = ref[np.argsort(ref.real, kind="stable")]
         assert res.zero_count == 1
-        np.testing.assert_allclose(np.sort(np.abs(res.eigenvalues - sigma)),
-                                   np.abs(ref[:n_eigs] - sigma), atol=1e-9)
+        np.testing.assert_allclose(np.sort(res.eigenvalues.real),
+                                   ref[:n_eigs].real, atol=1e-9)
         assert oracles.multiset_distance(res.eigenvalues,
                                          ref[:n_eigs + 1]) <= 1e-9
+
+
+def test_krylov_momentum_block_gap_is_the_slowest_mode():
+    """On a momentum block the gap is the slowest mode of the block, also
+    where eigenvalues of larger real part lie nearer zero; a block with
+    fewer than N_EIGS + 2 states is solved densely and returns all its
+    eigenvalues ((7,2,0) k = 0 and (8,2,0) k = 3 have 3)."""
+    cases = ((8, 2, 2, 4), (9, 3, 2, 4), (9, 3, 2, 5), (9, 2, 2, 4),
+             (10, 3, 3, 4), (10, 3, 3, 5), (7, 2, 0, 0), (8, 2, 0, 3))
+    for length, n_a, n_b, k in cases:
+        gen = build_hamiltonian_tasep(length, Sector(length, n_a, n_b))
+        blk = project_momentum(gen, k)
+        want = dense_spectrum(blk)
+        res = krylov_gap(blk, seed=0)
+        assert len(res.eigenvalues) == min(spectra.N_EIGS, blk.dimension)
+        off = min(abs(res.gap - want.gap), abs(res.gap - np.conj(want.gap)))
+        assert off <= 1e-9, (length, n_a, n_b, k)
 
 
 def test_krylov_seed_independence():
@@ -180,49 +196,45 @@ def test_krylov_residual_contract_raises(monkeypatch):
         krylov_gap(gen, seed=0)
 
 
-def test_krylov_logs_each_factored_block(caplog):
-    """One DEBUG record per shift-inverted block: dim, the nnz of the
-    factored H - SIGMA I, whether it is the block's real form (k = 1 and 2
-    of this n_a = n_vac sector), the L+U fill SuperLU stores and the factor
-    time."""
+def test_krylov_logs_each_arnoldi_block(caplog):
+    """One DEBUG record per Arnoldi block: dim, nnz, whether it is the
+    block's real form (k = 1 and 2 of this n_a = n_vac sector), the number
+    of products with the block and the time."""
     gen = build_hamiltonian_tasep(6, Sector(6, 2, 2))
     with caplog.at_level(logging.DEBUG, logger="tasep2.spectra"):
         krylov_gap(gen, seed=0)
     records = [r for r in caplog.records if r.name == "tasep2.spectra"]
-    factored = [b if real_form(b) is None else real_form(b)
-                for b in momentum_blocks(gen, range(4))]
+    solved = [b if real_form(b) is None else real_form(b)
+              for b in momentum_blocks(gen, range(4))]
     assert [r.args[:3] for r in records] == [
-        (m.dimension,
-         (m.to_csr() - spectra.SIGMA * sp.identity(m.dimension)).nnz,
-         m.cp_real) for m in factored]
-    assert [m.cp_real for m in factored] == [False, True, True, False]
+        (m.dimension, m.to_csr().nnz, m.cp_real) for m in solved]
+    assert [m.cp_real for m in solved] == [False, True, True, False]
     for rec in records:
-        dim, nnz, real, fill, seconds = rec.args
+        dim, nnz, real, products, seconds = rec.args
         assert rec.levelno == logging.DEBUG
-        assert nnz <= fill and seconds >= 0
+        assert products > spectra.N_EIGS and seconds >= 0
 
 
-def test_zero_mode_block_factor_is_accurate(monkeypatch):
-    """The (12,4,4) k = 0 block holds the zero mode, so H - sigma I is
-    nearest to singular there: the factor `krylov_gap` makes of it must
-    still solve to a relative residual of 1e-12."""
+def test_zero_mode_block_returns_its_zero_mode(monkeypatch):
+    """The (12,4,4) k = 0 block holds the zero mode, the eigenvalue of
+    smallest real part: Arnoldi returns it once, with every eigenpair's
+    residual, recomputed here from the block, within RESIDUAL_TOL."""
     blk = project_momentum(build_hamiltonian_tasep(12, Sector(12, 4, 4)), 0)
-    factored = []
-    splu = spectra.spla.splu
+    pairs = []
+    eigs = spectra.spla.eigs
 
-    def spy(mat, **kwargs):
-        factored.append((mat, splu(mat, **kwargs)))
-        return factored[-1][1]
+    def spy(*args, **kwargs):
+        pairs.append(eigs(*args, **kwargs))
+        return pairs[-1]
 
-    monkeypatch.setattr(spectra.spla, "splu", spy)
+    monkeypatch.setattr(spectra.spla, "eigs", spy)
     res = krylov_gap(blk, seed=0)
     assert res.zero_count == 1
-    (mat, lu), = factored
-    shifted = blk.to_csr() - 1e-3 * sp.identity(blk.dimension)
-    assert abs(mat - shifted).max() == 0
-    b = np.random.default_rng(0).standard_normal(blk.dimension)
-    x = lu.solve(b)
-    assert np.linalg.norm(mat @ x - b) / np.linalg.norm(b) <= 1e-12
+    assert abs(res.eigenvalues[0]) <= spectra.ZERO_TOL
+    (vals, vecs), = pairs
+    resid = (np.linalg.norm(blk.to_csr() @ vecs - vecs * vals, axis=0)
+             / np.linalg.norm(vecs, axis=0))
+    assert np.all(resid <= spectra.RESIDUAL_TOL)
 
 
 def test_spectrum_export_format(spectrum_l6_equal, tmp_path):
