@@ -40,12 +40,12 @@ cubic j = 0.  Every size is independent: one vectorized Newton in ln beta,
 one beta per size, solves the sizes of a chain in blocks of consecutive
 sizes with at most GAP_BLOCK_ROOTS roots, from beta = 4/27 (its large-L
 limit, where cubic j = 0 reaches its branch point), so the batch's working
-set does not grow with the chain; `continue_in_L` seeds it from the beta of
-the given root set instead.  The branch integers come from the principal
-logarithms of the cubic roots, and one fixed-integer `_newton` polish per
-size brings the nested residual to SOLVER_TOL.  A gap state must have
-Re gap > 0, and each size of a chain a local gap exponent in (-1.9, -1.3)
-against the size before it.
+set does not grow with the chain; `continue_in_L` solves its one size from
+the same seed.  The branch integers come from the principal logarithms of
+the cubic roots, and one fixed-integer `_newton` polish per size brings the
+nested residual to SOLVER_TOL.  A gap state must have Re gap > 0, and each
+size of a chain a local gap exponent in (-1.9, -1.3) against the size
+before it.
 
 The residual is O(p log p) and the Jacobian O(p^2).  With principal logs,
 theta = Arg X in (-pi, pi],
@@ -66,10 +66,12 @@ a residual row infinite or NaN, and the residual raises `SingularRootError`.
 Coinciding roots leave it finite; `solve_bethe` rejects them after a solve.
 
 The generator eigenvalue of any root set is E_gen = p - sum_k Z_k/(Z_k - 1)
-(`energy_from_roots`); at the gap state this is p - sum_k s_k.  In the
-paper's variables E_raw = L + sum_k 2 Z_k/(Z_k - 1), it is E_gen = -e/2 with
-e = E_raw - L - 2p.  `calibrate_energy_map` re-derives that map, (sign,
-scale, offset) = (-1, 1/2, 0), from exact spectra at L = 6 and 9.
+= -sum_k 1/(Z_k - 1) (`energy_from_roots`), summed in the second form, which
+has no p to cancel, in extended precision; at the gap state it is
+p - sum_k s_k.  In the paper's variables E_raw = L + sum_k 2 Z_k/(Z_k - 1),
+it is E_gen = -e/2 with e = E_raw - L - 2p.  `calibrate_energy_map`
+re-derives that map, (sign, scale, offset) = (-1, 1/2, 0), from exact
+spectra at L = 6 and 9.
 """
 
 import itertools
@@ -344,11 +346,12 @@ def solve_bethe(length, *, branch_integers, second_integers=None,
 # energies
 
 def energy_from_roots(roots):
-    """Generator eigenvalue E_gen = p - sum_k Z_k/(Z_k - 1) of a root set."""
+    """Generator eigenvalue E_gen = -sum_k 1/(Z_k - 1) of a root set, summed
+    in extended precision (module docstring)."""
     Z = roots.big_z
     if np.any(np.abs(Z - 1.0) < 1e-14):
         raise SingularRootError("Z = 1 pole in the energy sum")
-    return roots.p - np.sum(Z / (Z - 1.0))
+    return complex(-np.sum(1 / (Z.astype(_EXT) - 1)))
 
 
 @dataclass(frozen=True)
@@ -506,9 +509,9 @@ def _gap_blocks(lengths, beta):
         yield from zip(block, *_solve_gap_s(block, beta))
 
 
-def _gap_chain(lengths, beta, before):
+def _gap_chain(lengths, before):
     """Gap-state root sets at the increasing `lengths` from the scalar seed
-    `beta`: cubic roots from `_gap_blocks`, then for each size in turn
+    GAP_BETA_SEED: cubic roots from `_gap_blocks`, then for each size in turn
     branch integers from their principal logarithms and one fixed-integer
     `_newton` polish of the nested system.
 
@@ -522,7 +525,7 @@ def _gap_chain(lengths, beta, before):
     prev = (None if before is None
             else (before.length, energy_from_roots(before).real))
     try:
-        for length, s, step in _gap_blocks(lengths, beta):
+        for length, s, step in _gap_blocks(lengths, GAP_BETA_SEED):
             if not step <= 1e-12:
                 raise NewtonDivergenceError(
                     f"L={length}: no convergence in ln beta "
@@ -550,13 +553,12 @@ def _gap_chain(lengths, beta, before):
 def continue_in_L(roots):
     """One step L -> L+3 along the gap branch (p -> p+1).
 
-    Seeds beta = exp(-mean_k ln Z_k) from the given root set (there
-    beta^p prod_k Z_k = 1), solves at L+3 and verifies the continued state
-    by its local gap exponent.
+    Solves L+3 from beta = 4/27 like every other size, so the result is
+    `solve_gap_state(L + 3)` bit for bit, and verifies the continued state
+    by its local gap exponent against the given root set.
     """
     length = roots.length + 3
-    beta = np.exp(-np.mean(np.log(roots.big_z)))
-    return _gap_chain([length], beta, roots)[length]
+    return _gap_chain([length], roots)[length]
 
 
 def solve_gap_chain(max_length):
@@ -568,7 +570,7 @@ def solve_gap_chain(max_length):
     """
     if max_length < 6 or max_length % 3:
         raise ValueError("max_length must be a multiple of 3, at least 6")
-    return _gap_chain(range(6, max_length + 1, 3), GAP_BETA_SEED, None)
+    return _gap_chain(range(6, max_length + 1, 3), None)
 
 
 def solve_gap_state(length):
@@ -576,4 +578,4 @@ def solve_gap_state(length):
     solved directly from the branch-point seed beta = 4/27."""
     if length < 6 or length % 3:
         raise ValueError("length must be a multiple of 3, at least 6")
-    return _gap_chain([length], GAP_BETA_SEED, None)[length]
+    return _gap_chain([length], None)[length]

@@ -21,8 +21,8 @@ CP reverses the site order and maps digit d to 2 - d (A <-> vacancy, B
 fixed).  It turns every move into a move, so it commutes with H, and
 CP T CP^-1 = T^-1.  It takes sector (L, n_a, n_b) to (L, n_vac, n_b): a
 sector with n_a = n_vac, the paper's (L, L/3, L/3) among them, is mapped
-onto itself, and `real_form` writes each of its momentum blocks as a real
-matrix.  (10,3,3) is not: CP maps it onto (10,4,3).
+onto itself, and `momentum_blocks` builds each of its momentum blocks as a
+real matrix, in one fold.  (10,3,3) is not: CP maps it onto (10,4,3).
 """
 
 from dataclasses import dataclass, field
@@ -66,7 +66,7 @@ class SectorGenerator:
     vals: np.ndarray
     packs: np.ndarray = field(repr=False)
     momentum: int | None = None  # k of a block made by momentum_blocks
-    cp_real: bool = False  # a block's real form, made by real_form
+    cp_real: bool = False  # a block built as its real form U^H B U
 
     @property
     def dimension(self):
@@ -193,13 +193,31 @@ def orbit_table(length, packs):
 
 def momentum_blocks(gen, momenta):
     """Blocks of the generator on the translation eigenspaces exp(2 pi i k / L),
-    one per k in `momenta`, all from one orbit table.
+    one per k in `momenta`, each built in the basis it is solved in, all
+    from one orbit table.  Arguments are checked at the call; the blocks
+    are yielded one at a time, so a caller that solves each before asking
+    for the next holds at most two.
 
     Basis vectors are normalized sums over translation orbits; an orbit of
     period d contributes to momentum k iff k*d = 0 mod L.  Column a of a
     block is the generator applied to representative a, each entry folded
     onto its target's orbit with the phase of the shift reaching it.  For
     k = 0 and k = L/2 the phases are exactly +-1 and the block is real.
+
+    Every other nonempty block of a CP-closed generator is built as its real
+    form R = U^H B U, with B the block above and U unitary, and marked
+    `cp_real`.  CP maps a sector onto itself (n_a = n_vac) or off it, so
+    the generator is CP-closed when the mirror CP a of every representative
+    is among its codes.  Representative a of period d stands for
+    |a> = d^(-1/2) sum_s w^s T^s a, w = exp(2 pi i k / L).  With b = rep(CP a)
+    and t the translations taking CP a onto b, both read from the orbit
+    table, Theta = CP conj maps |a> to w^t |b>; Theta is an antiunitary
+    involution commuting with B, so B is real on its fixed vectors:
+    (|a> + w^t |b>)/sqrt 2 at index a and i(|a> - w^t |b>)/sqrt 2 at index
+    b for a < b, and exp(i pi k t / L) |a> for a = b.  U has at most two
+    entries per row, so each unfolded entry of B gives at most four of R,
+    and R is folded once.  An imaginary part above roundoff raises; entries
+    of at most REAL_TOL times the largest are dropped.
     """
     if gen.momentum is not None:
         raise ValueError("generator is already a momentum block")
@@ -214,107 +232,84 @@ def momentum_blocks(gen, momenta):
     src, dst = gen.cols[on_rep], gen.rows[on_rep]
     vals = gen.vals[on_rep] * np.sqrt(period[src] / period[dst])
     dst_rep, dst_shift = rep[dst], shift[dst]
-    blocks = []
-    for k in momenta:
+    pair = None
+    if any(2 * k % length for k in momenta):
+        reps = np.flatnonzero(is_rep)
+        # CP a = 3^L - 1 - (a with its sites in reverse order)
+        low = 3 ** np.arange(length, dtype=np.int64)
+        mirror = (3 ** length - 1
+                  - packs[reps, None] // site_weights(length) % 3 @ low)
+        at = np.searchsorted(packs, mirror)
+        if np.array_equal(packs.take(at, mode="clip"), mirror):
+            pair, turns = np.empty_like(rep), np.empty_like(shift)
+            pair[reps], turns[reps] = rep[at], shift[at]
+
+    def block(k):
         keep = is_rep & ((k * period) % length == 0)
         rep_rows = np.flatnonzero(keep)
+        dim = len(rep_rows)
         index = np.full(len(packs), -1, dtype=np.int64)
-        index[rep_rows] = np.arange(len(rep_rows))
+        index[rep_rows] = np.arange(dim)
         omega = np.exp(2j * np.pi * k / length)
         phases = np.array([omega ** s for s in range(length)])
         if 2 * k % length == 0:
             phases = phases.real.round()
         sel = keep[src] & keep[dst_rep]
-        row, col, data = _fold(index[dst_rep[sel]], index[src[sel]],
-                               vals[sel] * phases[dst_shift[sel]],
-                               len(rep_rows))
-        blocks.append(SectorGenerator(length, row, col, data,
-                                      packs[rep_rows], momentum=k))
-    return blocks
+        r, c = index[dst_rep[sel]], index[src[sel]]
+        data = vals[sel] * phases[dst_shift[sel]]
+        real = pair is not None and 2 * k % length != 0 and dim > 0
+        if not real:
+            return SectorGenerator(length, *_fold(r * dim + c, data, dim),
+                                   packs[rep_rows], momentum=k)
+        # U[a, a] and U[a, pair a]; a self-paired row has only the first
+        mate, ident = index[pair[rep_rows]], np.arange(dim)
+        twist = np.exp(1j * np.pi * k / length * turns[rep_rows])  # w^(t/2)
+        half = np.sqrt(0.5)
+        lower, alone = ident < mate, ident == mate
+        own = np.where(lower, half, -1j * half * twist * twist)
+        own[alone] = twist[alone]
+        other = np.where(lower, 1j * half, half * twist * twist)
+        other[alone] = 0
+        # R[i, j] += conj(U[r, i]) B[r, c] U[c, j], i in {r, pair r}, j in
+        # {c, pair c}: four entries per entry of B, handed to `_fold` as
+        # temporaries it can free once sorted, since the sector generator
+        # is still alive here when `diag --momentum` projects it
+        row, col, data = _fold(
+            np.concatenate([i * dim + j for i in (r, mate[r])
+                            for j in (c, mate[c])]),
+            (np.stack((own[r], other[r])).conj()[:, None] * data
+             * np.stack((own[c], other[c]))).ravel(), dim)
+        floor = REAL_TOL * np.abs(data).max(initial=0)
+        imag = np.abs(data.imag).max(initial=0)
+        if imag > floor:
+            raise ValueError(f"real form of k = {k} block is not real: "
+                             f"|Im| up to {imag:.3e}")
+        big = np.abs(data.real) > floor
+        return SectorGenerator(length, row[big], col[big], data.real[big],
+                               packs[rep_rows], momentum=k, cp_real=True)
+
+    return (block(k) for k in momenta)
 
 
-def _fold(rows, cols, vals, dim):
-    """Duplicate-free (row, col)-sorted triplets with no zero values: a
-    stable sort on (row, col), a sum over each run of one key, the zeros
-    dropped."""
-    key = rows * dim + cols
+def _fold(key, vals, dim):
+    """Duplicate-free (row, col)-sorted triplets with no zero values from
+    entries at key = row * dim + col: a stable sort on the key, a sum over
+    each run of one key, the zeros dropped."""
     order = key.argsort(kind="stable")
-    key = key[order]
+    key, vals = key[order], vals[order]
     first = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:])
     first = first.nonzero()[0]
-    data = np.add.reduceat(vals[order], first)
+    data = np.add.reduceat(vals, first)
     nonzero = data != 0
     row, col = np.divmod(key[first[nonzero]], dim)
     return row, col, data[nonzero]
 
 
-def real_form(blk):
-    """The block in a basis of Theta-fixed vectors, where it is real, or None.
-
-    Returns R = U^H B U with B the block and U unitary, or None when B is
-    already real (k = 0, k = L/2, empty, or a real form) or CP takes one of
-    its representatives outside it (in a sector, exactly when n_a != n_vac).
-    Representative a of period d stands for |a> = d^(-1/2) sum_s w^s T^s a,
-    w = exp(2 pi i k / L).  With b = rep(CP a) and t the translations taking
-    CP a onto b, Theta = CP conj maps |a> to w^t |b>; Theta is an
-    antiunitary involution commuting with B, so B is real on its fixed
-    vectors: (|a> + w^t |b>)/sqrt 2 at index a and i(|a> - w^t |b>)/sqrt 2
-    at index b for a < b, and exp(i pi k t / L) |a> for a = b.  U has at
-    most two entries per row, so each triplet of B gives at most four of R,
-    folded as in `momentum_blocks`.  An imaginary part above roundoff
-    raises; entries of at most REAL_TOL times the largest are dropped.
-    """
-    length, k, packs = blk.length, blk.momentum, blk.packs
-    if k is None:
-        raise ValueError("real_form needs a momentum block")
-    if blk.cp_real or 2 * k % length == 0 or not len(packs):
-        return None
-    low = 3 ** np.arange(length, dtype=np.int64)  # 3^s, s = 0..L-1
-    digits = packs[:, None] // low % 3  # site L-1-s in column s
-    # CP takes digit sum S to 2L - S: a CP-closed block has mean sum L
-    if digits.sum() != length * len(packs):
-        return None
-    mirror = 3 ** length - 1 - digits @ low[::-1]  # CP a
-    # T^s x = x // 3^s + (x mod 3^s) 3^(L-s)
-    quo, rem = np.divmod(mirror[:, None], low)
-    turns = quo + rem * (3 ** length // low)
-    shift, image = turns.argmin(axis=1), turns.min(axis=1)
-    pair = np.searchsorted(packs, image)
-    if np.any(packs.take(pair, mode="clip") != image):
-        return None
-    # U[a, a] and U[a, pair a]; a self-paired row has only the first
-    index = np.arange(len(packs))
-    twist = np.exp(1j * np.pi * k / length * shift)  # w^(t/2)
-    half = np.sqrt(0.5)
-    lower, alone = index < pair, index == pair
-    own = np.where(lower, half, -1j * half * twist * twist)
-    own[alone] = twist[alone]
-    other = np.where(lower, 1j * half, half * twist * twist)
-    other[alone] = 0
-    # R[i, j] += conj(U[r, i]) B[r, c] U[c, j], i in {r, pair r}, j in
-    # {c, pair c}
-    r, c, pr, pc = blk.rows, blk.cols, pair[blk.rows], pair[blk.cols]
-    left = (own[r].conj() * blk.vals, other[r].conj() * blk.vals)
-    right = (own[c], other[c])
-    row, col, data = _fold(np.concatenate((r, r, pr, pr)),
-                           np.concatenate((c, pc, c, pc)),
-                           np.concatenate([x * y for x in left
-                                           for y in right]), len(packs))
-    floor = REAL_TOL * np.abs(data).max(initial=0)
-    imag = np.abs(data.imag).max(initial=0)
-    if imag > floor:
-        raise ValueError(f"real form of k = {k} block is not real: "
-                         f"|Im| up to {imag:.3e}")
-    keep = np.abs(data.real) > floor
-    return SectorGenerator(length, row[keep], col[keep], data.real[keep],
-                           packs, momentum=k, cp_real=True)
-
-
 def project_momentum(gen, k):
     """Block of the generator on the translation eigenspace exp(2 pi i k / L);
     see `momentum_blocks`."""
-    return momentum_blocks(gen, [k])[0]
+    return next(momentum_blocks(gen, [k]))
 
 
 def all_sectors(length):

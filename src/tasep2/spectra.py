@@ -15,10 +15,11 @@ So is every other block of a sector with n_a = n_vac, such as the paper's
 (L, L/3, L/3), up to a change of basis: CP (reverse the ring, swap A and
 vacancy) maps the sector onto itself, commutes with H and inverts the
 translation, so Theta = CP conj maps each block onto itself, and
-`lattice.real_form` writes the block in Theta-fixed vectors, where it is
-real.  Each block, and a generator that is already a momentum block, is
-solved in that real form where it has one, else as it is.  (10,3,3) has
-none: CP maps it onto (10,4,3).
+`lattice.momentum_blocks` builds the block in Theta-fixed vectors, where it
+is real.  Each block, and a generator that is already a momentum block, is
+solved in the basis it was built in.  (10,3,3) has no real form: CP maps
+it onto (10,4,3).  The blocks are built one at a time, each after the one
+before it is solved, so a full sector holds at most two at once.
 
 `dense_spectrum` returns every eigenvalue; its `dense_limit` bounds the
 largest block handed to LAPACK, not the sector dimension.  `krylov_gap`
@@ -44,7 +45,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .lattice import momentum_blocks, real_form
+from .lattice import momentum_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -95,23 +96,17 @@ def _result(vals):
 def _solve_blocks(gen, solve):
     """Union of `solve(block)` over the momentum blocks k = 0..L//2 of a
     generator, each k = 1..(L-1)//2 entered with its conjugate twin; a
-    generator that is already a momentum block is the one block.  A block
-    is handed to `solve` in its real form where it has one."""
+    generator that is already a momentum block is the one block.  Each
+    block is solved before the next is built."""
     if gen.momentum is not None:
-        return solve(_real_if_possible(gen))
+        return solve(gen)
     length = gen.length
-    half = range(length // 2 + 1)
     parts = []
-    for k, blk in zip(half, momentum_blocks(gen, half)):
-        vals = solve(_real_if_possible(blk))
+    for blk in momentum_blocks(gen, range(length // 2 + 1)):
+        vals = solve(blk)
+        k = blk.momentum
         parts += [vals, vals.conj()] if 0 < k < length - k else [vals]
     return np.concatenate(parts)
-
-
-def _real_if_possible(blk):
-    """The block's real form where CP gives one, else the block."""
-    real = real_form(blk)
-    return blk if real is None else real
 
 
 def _dense_eigvals(gen):

@@ -4,6 +4,7 @@ product-form identities."""
 import json
 import logging
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ def test_steady_state_is_regular_bethe_state():
 
 
 def test_energy_matches_paper_raw_route(gap_chain_360):
-    """p - sum Z/(Z-1) equals -(E_raw - L - 2p)/2 at the same roots, along
+    """-sum 1/(Z-1) equals -(E_raw - L - 2p)/2 at the same roots, along
     the gap chain and on a p = 2, r = 1 state, whose energy is the
     eigenvalue (5 - sqrt 5)/2 of the L = 6 sector (n_A, n_B) = (4, 1)."""
     for length, roots in gap_chain_360.items():
@@ -165,6 +166,22 @@ def test_energy_matches_paper_raw_route(gap_chain_360):
     e = energy_from_roots(roots)
     assert abs(e - oracles.energy_via_raw(roots.big_z, 6)) <= 1e-13
     assert abs(e - (5.0 - np.sqrt(5.0)) / 2.0) <= 1e-12
+
+
+def test_energy_is_the_exact_sum_of_its_roots():
+    """-sum 1/(Z-1) summed in extended precision is the exact rational sum
+    over the same double Z to 1e-14, relative, where p - sum Z/(Z-1) lost
+    7.8e-13 (L = 99) to 6.6e-11 (L = 600) of Re E to cancellation."""
+    for length in (99, 300, 450, 600):
+        roots = solve_gap_state(length)
+        re, im = Fraction(0), Fraction(0)
+        for z in roots.big_z:
+            x, y = Fraction(z.real) - 1, Fraction(z.imag)
+            re, im = re - x / (x * x + y * y), im + y / (x * x + y * y)
+        exact = complex(float(re), float(im))
+        e = energy_from_roots(roots)
+        assert abs(e.real - exact.real) <= 1e-14 * abs(exact.real), length
+        assert abs(e - exact) <= 1e-14 * abs(exact), length
 
 
 def test_root_set_keeps_solver_roots(monkeypatch):
@@ -648,6 +665,10 @@ def test_continue_requires_step_three(gap6):
     assert (roots.length, roots.p) == (9, 3)
     want = energy_from_roots(solve_gap_chain(9)[9])
     assert abs(energy_from_roots(roots) - want) <= 1e-12
+    # seeded from beta = 4/27 like every size, it is the direct solve
+    direct = solve_gap_state(9)
+    np.testing.assert_array_equal(roots.big_z, direct.big_z)
+    assert roots.residual_norm == direct.residual_norm
 
 
 def test_first_level_states_exhaust_no_vacancy_sector():

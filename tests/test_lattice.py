@@ -12,7 +12,7 @@ from tasep2 import (
     lattice,
     project_momentum,
 )
-from tasep2.lattice import momentum_blocks, real_form, sector_packs
+from tasep2.lattice import momentum_blocks, sector_packs
 
 import oracles
 
@@ -106,10 +106,13 @@ def test_momentum_blocks_partition_dimension():
     gen = build_hamiltonian_tasep(6, Sector(6, 2, 2))
     dims = [project_momentum(gen, k).dimension for k in range(6)]
     assert sum(dims) == 90
-    # k = 0 and k = L/2 carry phases +-1 exactly, so their blocks are real
+    # k = 0 and k = L/2 carry phases +-1 exactly, so their blocks are real;
+    # CP maps this n_a = n_vac sector onto itself, so the others are built
+    # as real forms
     for k in range(6):
         blk = project_momentum(gen, k)
-        assert np.iscomplexobj(blk.vals) == (k not in (0, 3)), k
+        assert not np.iscomplexobj(blk.vals), k
+        assert blk.cp_real == (k not in (0, 3)), k
         assert blk.momentum == k
     with pytest.raises(ValueError):
         project_momentum(project_momentum(gen, 1), 1)
@@ -117,11 +120,15 @@ def test_momentum_blocks_partition_dimension():
 
 def test_momentum_fold_matches_coo_oracle():
     """The sort-and-reduceat orbit fold gives the triplets of scipy's
-    `coo_array` fold bit for bit, for every sector with L <= 8 and every k."""
+    `coo_array` fold bit for bit, for every sector with L <= 8 and every k
+    whose block is not built as a real form (the real forms are checked
+    against the same oracle's eigenvalues below)."""
     for length in range(2, 9):
         for sector in all_sectors(length):
             gen = build_hamiltonian_tasep(length, sector)
             for k, blk in enumerate(momentum_blocks(gen, range(length))):
+                if blk.cp_real:
+                    continue
                 want = oracles.momentum_block_coo(gen, k)
                 for got, ref in zip((blk.rows, blk.cols, blk.vals), want):
                     assert got.dtype == ref.dtype, (sector, k)
@@ -159,10 +166,20 @@ def test_zero_momentum_block_has_steady_state():
     assert np.min(np.abs(vals)) <= 1e-10
 
 
+def _complex_block_eigvals(gen, blk):
+    """Eigenvalues of momentum block k of `gen` folded by the `coo_array`
+    oracle in the orbit basis, where no CP form is taken."""
+    row, col, data = oracles.momentum_block_coo(gen, blk.momentum)
+    mat = np.zeros((blk.dimension, blk.dimension), dtype=complex)
+    mat[row, col] = data
+    return scipy.linalg.eigvals(mat)
+
+
 def test_real_form_is_real_with_the_block_spectrum():
     """Every k != 0, L/2 block of every sector with L <= 8 and n_a = n_vac,
-    and of the full space with L <= 5, has a real form with real values and
-    the block's eigenvalues as a multiset to 1e-12."""
+    and of the full space with L <= 5, is built as its real form, with real
+    values and the oracle block's eigenvalues as a multiset to 1e-12; an
+    empty block is not."""
     gens = [build_hamiltonian_tasep(length, sector)
             for length in range(2, 9) for sector in all_sectors(length)
             if sector.n_a == sector.n_vac]
@@ -170,14 +187,13 @@ def test_real_form_is_real_with_the_block_spectrum():
     solved = 0
     for gen in gens:
         momenta = [k for k in range(gen.length) if 2 * k % gen.length]
-        for k, blk in zip(momenta, momentum_blocks(gen, momenta)):
-            real = real_form(blk)
-            if blk.dimension == 0:
-                assert real is None
+        for k, real in zip(momenta, momentum_blocks(gen, momenta)):
+            assert real.momentum == k
+            if real.dimension == 0:
+                assert not real.cp_real
                 continue
             assert real.vals.dtype == np.float64 and real.cp_real
-            assert (real.dimension, real.momentum) == (blk.dimension, k)
-            want = scipy.linalg.eigvals(blk.to_dense())
+            want = _complex_block_eigvals(gen, real)
             got = scipy.linalg.eigvals(real.to_dense())
             assert oracles.multiset_distance(got, want) <= 1e-12, (gen, k)
             solved += 1
@@ -187,8 +203,8 @@ def test_real_form_is_real_with_the_block_spectrum():
 def test_real_form_keeps_no_roundoff_entry():
     """Entries that cancel in U^H B U are dropped: no real form of a sector
     with L <= 12 and n_a = n_vac keeps an entry of at most REAL_TOL times
-    its largest, and at L = 9 the real forms keep the block's eigenvalues
-    to 1e-12 (L <= 8 above)."""
+    its largest, and at L = 9 the real forms keep the oracle block's
+    eigenvalues to 1e-12 (L <= 8 above)."""
     forms = 0
     for length in range(3, 13):
         for sector in all_sectors(length):
@@ -196,14 +212,14 @@ def test_real_form_keeps_no_roundoff_entry():
                 continue
             gen = build_hamiltonian_tasep(length, sector)
             momenta = [k for k in range(length // 2 + 1) if 2 * k % length]
-            for k, blk in zip(momenta, momentum_blocks(gen, momenta)):
-                real = real_form(blk)
-                if real is None:
+            for real in momentum_blocks(gen, momenta):
+                if not real.cp_real:
                     continue
                 size = np.abs(real.vals)
-                assert size.min() > lattice.REAL_TOL * size.max(), (sector, k)
+                assert size.min() > lattice.REAL_TOL * size.max(), (
+                    sector, real.momentum)
                 if length == 9:
-                    want = scipy.linalg.eigvals(blk.to_dense())
+                    want = _complex_block_eigvals(gen, real)
                     got = scipy.linalg.eigvals(real.to_dense())
                     assert oracles.multiset_distance(got, want) <= 1e-12
                 forms += 1
@@ -211,14 +227,17 @@ def test_real_form_keeps_no_roundoff_entry():
 
 
 def test_real_form_only_where_cp_maps_the_block_onto_itself():
-    """None for k = 0 and k = L/2, for (10,3,3) (CP maps it onto (10,4,3))
-    and for a real form; a generator that is no momentum block raises."""
+    """Real forms are built for k != 0, L/2 where CP maps the sector onto
+    itself, and never for (10,3,3) (CP maps it onto (10,4,3)) or for an
+    empty block ((3,0,3) k = 1); a momentum block is not projected again."""
     gen = build_hamiltonian_tasep(6, Sector(6, 2, 2))
-    blocks = momentum_blocks(gen, range(6))
-    assert [real_form(b) is None for b in blocks] == [
-        True, False, False, True, False, False]
-    assert real_form(real_form(blocks[1])) is None
+    assert [b.cp_real for b in momentum_blocks(gen, range(6))] == [
+        False, True, True, False, True, True]
     odd = build_hamiltonian_tasep(10, Sector(10, 3, 3))
-    assert all(real_form(b) is None for b in momentum_blocks(odd, range(10)))
+    assert not any(b.cp_real for b in momentum_blocks(odd, range(10)))
+    empty = project_momentum(build_hamiltonian_tasep(3, Sector(3, 0, 3)), 1)
+    assert (empty.dimension, empty.cp_real) == (0, False)
     with pytest.raises(ValueError):
-        real_form(gen)
+        momentum_blocks(project_momentum(gen, 1), [1])
+    with pytest.raises(ValueError):
+        momentum_blocks(gen, [6])

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from tasep2 import (
     project_momentum,
     spectra,
 )
-from tasep2.lattice import momentum_blocks, real_form
+from tasep2.lattice import momentum_blocks
 
 import oracles
 
@@ -204,8 +205,7 @@ def test_krylov_logs_each_arnoldi_block(caplog):
     with caplog.at_level(logging.DEBUG, logger="tasep2.spectra"):
         krylov_gap(gen, seed=0)
     records = [r for r in caplog.records if r.name == "tasep2.spectra"]
-    solved = [b if real_form(b) is None else real_form(b)
-              for b in momentum_blocks(gen, range(4))]
+    solved = list(momentum_blocks(gen, range(4)))
     assert [r.args[:3] for r in records] == [
         (m.dimension, m.to_csr().nnz, m.cp_real) for m in solved]
     assert [m.cp_real for m in solved] == [False, True, True, False]
@@ -213,6 +213,28 @@ def test_krylov_logs_each_arnoldi_block(caplog):
         dim, nnz, real, products, seconds = rec.args
         assert rec.levelno == logging.DEBUG
         assert products > spectra.N_EIGS and seconds >= 0
+
+
+def test_full_sector_holds_at_most_two_blocks(monkeypatch):
+    """`dense_spectrum` and `krylov_gap` solve each momentum block of a full
+    sector before the next is built, so at most two blocks are alive at
+    once: the one just solved and the one being built."""
+    alive, counts = set(), []
+
+    def spy(gen, momenta):
+        for blk in momentum_blocks(gen, momenta):
+            alive.add(blk.momentum)
+            weakref.finalize(blk, alive.discard, blk.momentum)
+            counts.append(len(alive))
+            yield blk
+
+    monkeypatch.setattr(spectra, "momentum_blocks", spy)
+    gen = build_hamiltonian_tasep(9, Sector(9, 3, 3))
+    for solve in (dense_spectrum, krylov_gap):
+        counts.clear()
+        assert solve(gen).zero_count == 1
+        assert len(counts) == 5 and max(counts) <= 2, (solve, counts)
+        assert not alive
 
 
 def test_zero_mode_block_returns_its_zero_mode(monkeypatch):
