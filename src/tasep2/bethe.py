@@ -129,11 +129,10 @@ class BetheRootSet:
 
     @classmethod
     def from_big_z(cls, length, big_z, big_y, branch_integers,
-                   second_integers=None, residual_norm=np.nan):
+                   second_integers, residual_norm):
         order = np.argsort(np.angle(big_z))
-        J = np.zeros(0, int) if second_integers is None else second_integers
-        return cls(length, big_z[order], big_y, branch_integers[order], J,
-                   residual_norm)
+        return cls(length, big_z[order], big_y, branch_integers[order],
+                   second_integers, residual_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +445,9 @@ def _gap_s(c, middle):
     return s - (s * s * (s - 1.0) - c) / (s * (3.0 * s - 2.0))
 
 
-def _solve_gap_s(lengths, beta):
+def _solve_gap_s(lengths):
     """Unpolished s_k of the gap state at every size in `lengths` at once,
-    by Newton in u = ln beta, one u per size, from the seed `beta`.
+    by Newton in u = ln beta, one u per size, from beta = GAP_BETA_SEED.
 
     Size L has p = L/3 roots: the largest-modulus root of each cubic
     j = 0..p-2, s^2 (s - 1) = beta exp(2 pi i m / p) with the half-integer
@@ -472,7 +471,7 @@ def _solve_gap_s(lengths, beta):
     middle = j == p[size] - 1  # the last root of a size: cubic j = 0 again
     j[middle] = 0
     phase = np.exp(2j * np.pi * (j - (p[size] - 1) / 2.0) / p[size])
-    u = np.full(len(p), np.log(complex(beta)))
+    u = np.full(len(p), np.log(complex(GAP_BETA_SEED)))
     step = np.full(len(p), np.inf)
     iterations = np.zeros(len(p), dtype=int)  # 0 until the size is frozen
     for it in range(1, 51):
@@ -494,7 +493,7 @@ def _solve_gap_s(lengths, beta):
     return s, step
 
 
-def _gap_blocks(lengths, beta):
+def _gap_blocks(lengths):
     """(L, s, last |du|) for each of the increasing `lengths`, from one
     `_solve_gap_s` call per block of consecutive sizes holding at most
     GAP_BLOCK_ROOTS roots (or a single size); a block is solved only when
@@ -502,11 +501,11 @@ def _gap_blocks(lengths, beta):
     block = []
     for length in lengths:
         if block and (sum(block) + length) // 3 > GAP_BLOCK_ROOTS:
-            yield from zip(block, *_solve_gap_s(block, beta))
+            yield from zip(block, *_solve_gap_s(block))
             block = []
         block.append(length)
     if block:
-        yield from zip(block, *_solve_gap_s(block, beta))
+        yield from zip(block, *_solve_gap_s(block))
 
 
 def _gap_chain(lengths, before):
@@ -525,7 +524,7 @@ def _gap_chain(lengths, before):
     prev = (None if before is None
             else (before.length, energy_from_roots(before).real))
     try:
-        for length, s, step in _gap_blocks(lengths, GAP_BETA_SEED):
+        for length, s, step in _gap_blocks(lengths):
             if not step <= 1e-12:
                 raise NewtonDivergenceError(
                     f"L={length}: no convergence in ln beta "

@@ -5,6 +5,7 @@ the numerics modules return numbers and open no files.  Every summary is
 JSON; the text reports are rows of numbers written with `.17g`, which parses
 back to the same double.  `bethe` takes the root counts p and r from the
 lengths of --integers and --second-integers, which needs --integers.
+`scale` takes only the range --from..--to; its report's omega is always 1.
 
 Every command accepts --seed and --output-dir (default from
 TASEP2_OUTPUT_DIR), and refuses to overwrite existing files unless --force
@@ -209,7 +210,7 @@ def cmd_bethe(args):
 
 def cmd_scale(args):
     try:
-        report = scaling.run_scaling_study(args.frm, args.to, omega=args.omega)
+        report = scaling.run_scaling_study(args.frm, args.to)
     except bethe.BetheError as exc:
         # retain whatever prefix of the chain converged, then fail loudly
         sys.stderr.write(f"scaling study aborted: {exc}\n")
@@ -316,7 +317,6 @@ def build_parser():
         "scale", help="gap series and exponent extrapolation")
     p.add_argument("--from", dest="frm", type=int, default=6)
     p.add_argument("--to", dest="to", type=int, default=33)
-    p.add_argument("--omega", type=float, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_scale)
 

@@ -12,10 +12,12 @@ tableau
         [ (L_m / L_{m+k+1})^(-omega) *
           (1 - (T[m+1, k] - T[m, k]) / (T[m+1, k] - T[m+1, k-1])) - 1 ]^(-1)
 
-with free exponent parameter omega.  The Delta-correction denominator uses
+with correction exponent omega.  The Delta-correction denominator uses
 T[m+1, k-1] (same column row below); this is the variant that is exact on
 a + b / L^omega by the second column and reproduces the known -3/2 limit
-from the ten-entry exponent table.
+from the ten-entry exponent table.  The pipeline's tableau is at omega = 1.
+`bst_scan` picks omega by the smallest error estimate, a choice roundoff in
+the gaps can flip; no pipeline step calls it.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import bethe
 
-OMEGA_SCAN = (0.5, 1.0, 1.5, 2.0)
+OMEGA_SCAN = (0.5, 1.0, 1.5, 2.0)  # for `bst_scan` alone (its docstring)
 
 
 def local_exponent(series):
@@ -104,7 +106,8 @@ def bst_extrapolate(values, omega):
 
 def bst_scan(values):
     """Tableau with the smallest error estimate over the omegas of
-    `OMEGA_SCAN`."""
+    `OMEGA_SCAN`; kept since the benchmark's `bethe_chain` check calls it
+    and its tracer wraps it by name."""
     best = None
     for omega in OMEGA_SCAN:
         tab = bst_extrapolate(values, omega)
@@ -113,13 +116,13 @@ def bst_scan(values):
     return best
 
 
-def run_scaling_study(l_min, l_max, omega=None):
+def run_scaling_study(l_min, l_max):
     """Full pipeline: Bethe gap chain, local exponents, BST extrapolation.
 
     `l_min`..`l_max` label the local exponents, so the gap chain extends to
-    l_max + 3.  With omega None the scan picks the tableau with the smallest
-    error estimate.  Returns series (the (L, Re gap) pairs), extrapolants,
-    tableau, z_estimate and error.
+    l_max + 3.  The tableau is at omega = 1: the local exponents approach
+    -z with 1/L corrections.  Returns series (the (L, Re gap) pairs),
+    extrapolants, tableau, z_estimate and error.
     """
     if l_min % 3 or l_max % 3 or not 6 <= l_min <= l_max:
         raise ValueError("need multiples of 3 with 6 <= l_min <= l_max")
@@ -127,8 +130,7 @@ def run_scaling_study(l_min, l_max, omega=None):
     series = [(l, bethe.energy_from_roots(chain[l]).real)
               for l in range(l_min, l_max + 4, 3)]
     extrapolants = local_exponent(series)
-    tableau = (bst_scan(extrapolants) if omega is None
-               else bst_extrapolate(extrapolants, omega))
+    tableau = bst_extrapolate(extrapolants, 1.0)
     return {
         "series": series,
         "extrapolants": extrapolants,

@@ -176,9 +176,6 @@ def krylov_gap(gen, seed=0):
     with fewer than N_EIGS + 2 states is solved densely, since ARPACK
     cannot return all its eigenvalues.
     """
-    n = gen.dimension
-    if n < 3:
-        raise ValueError("block too small for Krylov iteration; use dense_spectrum")
     rng = np.random.default_rng(seed)
 
     def solve(blk):

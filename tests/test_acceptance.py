@@ -166,7 +166,7 @@ def test_criterion_7_property_suites(gap_chain_36):
         noise = 1e-3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         noisy = BetheRootSet.from_big_z(
             6, roots6.big_z * (1.0 + noise), np.zeros(0, complex),
-            roots6.branch_integers)
+            roots6.branch_integers, np.zeros(0, int), np.nan)
         back = solve_bethe(6, branch_integers=roots6.branch_integers,
                            seed_roots=noisy)
         assert np.max(np.abs(np.sort_complex(back.big_z)

@@ -141,7 +141,8 @@ def test_newton_basin_100_perturbations(gap6):
             6,
             gap6.big_z * (1.0 + 1e-3 * (rng.standard_normal(2)
                                         + 1j * rng.standard_normal(2))),
-            np.zeros(0, complex), gap6.branch_integers)
+            np.zeros(0, complex), gap6.branch_integers, np.zeros(0, int),
+            np.nan)
         back = solve_bethe(6, branch_integers=gap6.branch_integers,
                            seed_roots=noisy)
         assert np.max(np.abs(np.sort_complex(back.big_z)
@@ -282,7 +283,8 @@ def test_conjugate_partner_state(gap6):
     from tasep2.bethe import _log_residual
     F, I = _log_residual(Zc, np.zeros(0, complex), 6)
     assert np.max(np.abs(F)) <= 1e-12
-    partner = BetheRootSet.from_big_z(6, Zc, np.zeros(0, complex), I)
+    partner = BetheRootSet.from_big_z(6, Zc, np.zeros(0, complex), I,
+                                      np.zeros(0, int), np.nan)
     assert energy_from_roots(partner) == pytest.approx(
         np.conj(energy_from_roots(gap6)), abs=1e-12)
 
@@ -457,9 +459,9 @@ def test_gap_chain_solves_sizes_in_root_bounded_blocks(monkeypatch):
     calls = []
     real = bethe._solve_gap_s
 
-    def spy(lengths, beta):
+    def spy(lengths):
         calls.append(list(lengths))
-        return real(lengths, beta)
+        return real(lengths)
 
     monkeypatch.setattr(bethe, "_solve_gap_s", spy)
     solve_gap_chain(360)
@@ -479,9 +481,9 @@ def test_gap_chain_failure_solves_no_later_block(monkeypatch):
     calls = []
     real_solve, real_newton = bethe._solve_gap_s, bethe._newton
 
-    def spy(lengths, beta):
+    def spy(lengths):
         calls.append(list(lengths))
-        return real_solve(lengths, beta)
+        return real_solve(lengths)
 
     def fail_at_27(Z0, Y0, length, *args):
         if length == 27:
@@ -502,10 +504,9 @@ def test_block_roots_do_not_depend_on_chain_length():
     complex arrays past the 256 KiB at which numpy reuses temporaries in
     place, and an in-place complex product can round differently."""
     lengths = range(6, 544, 3)
-    blocked = {length: s for length, s, _ in
-               bethe._gap_blocks(lengths, bethe.GAP_BETA_SEED)}
+    blocked = {length: s for length, s, _ in bethe._gap_blocks(lengths)}
     for length in (27, 42, 300, 543):
-        alone = bethe._solve_gap_s([length], bethe.GAP_BETA_SEED)[0][0]
+        alone = bethe._solve_gap_s([length])[0][0]
         np.testing.assert_array_equal(blocked[length], alone)
 
 
@@ -601,11 +602,12 @@ def test_counting_values_near_half_integers_along_chain(gap_chain_36):
         assert all(resid <= 1e-10 for _, resid in checks), length
 
 
-def test_continuation_prediction_accuracy(gap_chain_36):
+def test_continuation_prediction_accuracy(gap_chain_36, monkeypatch):
     """The unpolished cubic roots at L=36, from the beta of L=33, lie on
     the polished ones."""
-    beta = np.exp(-np.mean(np.log(gap_chain_36[33].big_z)))
-    s = bethe._solve_gap_s([36], beta)[0][0]
+    monkeypatch.setattr(bethe, "GAP_BETA_SEED", np.exp(
+        -np.mean(np.log(gap_chain_36[33].big_z))))
+    s = bethe._solve_gap_s([36])[0][0]
     lam_cubic = 0.5 * np.log(s / (s - 1.0))
     lam = 0.5 * np.log(gap_chain_36[36].big_z)
     assert oracles.multiset_distance(lam_cubic, lam) < 0.01
@@ -615,7 +617,7 @@ def test_decoupled_energy_matches_nested(gap_chain_360):
     """p - sum s_k at the unpolished cubic roots, solved from beta = 4/27,
     is the polished nested energy for every L <= 330."""
     lengths = range(6, 331, 3)
-    s_all, _ = bethe._solve_gap_s(lengths, bethe.GAP_BETA_SEED)
+    s_all, _ = bethe._solve_gap_s(lengths)
     for length, s in zip(lengths, s_all):
         e = energy_from_roots(gap_chain_360[length])
         assert abs(length // 3 - s.sum() - e) <= 1e-12, length

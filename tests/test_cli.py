@@ -274,19 +274,20 @@ def test_scale_paper_range(tmp_path):
     report = json.loads((tmp_path / "scaling_report.json").read_text())
     jsonschema.validate(report, _schema("scale.json"))
     assert abs(report["z_estimate"] - 1.5) <= 1e-5
+    assert report["omega"] == 1.0
     gaps = (tmp_path / "gap_series.csv").read_text().strip().splitlines()
     assert gaps[0] == "L,gap_re" and len(gaps) == 12  # sizes 6..36
     exts = (tmp_path / "extrapolants.csv").read_text().strip().splitlines()
     assert exts[0] == "L,extrapolant" and len(exts) == 11
 
 
-def test_scale_explicit_omega(tmp_path):
-    rc = run(["scale", "--from", "6", "--to", "33", "--omega", "1",
-              "--output-dir", str(tmp_path)])
-    assert rc == 0
-    report = json.loads((tmp_path / "scaling_report.json").read_text())
-    assert report["omega"] == 1.0
-    assert abs(report["z_estimate"] - 1.5) <= 1e-5
+def test_scale_rejects_omega(tmp_path):
+    """`scale` has no --omega: its tableau is always at omega = 1."""
+    with pytest.raises(SystemExit) as info:
+        run(["scale", "--from", "6", "--to", "33", "--omega", "1",
+             "--output-dir", str(tmp_path)])
+    assert info.value.code == 2
+    assert not (tmp_path / "scaling_report.json").exists()
 
 
 def test_scale_coarse_range(tmp_path):

@@ -90,6 +90,20 @@ def test_bst_paper_table_reaches_three_halves():
     assert tab.error_estimate < 1e-5
 
 
+def test_study_tableau_is_omega_one():
+    """The study's tableau is the omega = 1 one, bit for bit, on 6..33 and
+    6..327; on 6..297 the error-estimate scan had taken omega = 0.5 and
+    missed 3/2 by 3.6e-7."""
+    for l_max in (33, 327):
+        report = run_scaling_study(6, l_max)
+        tab = bst_extrapolate(report["extrapolants"], 1.0)
+        assert report["z_estimate"] == -tab.limit
+        assert report["tableau"].table == tab.table
+    report = run_scaling_study(6, 297)
+    assert report["tableau"].omega == 1.0
+    assert abs(report["z_estimate"] - 1.5) < 1e-8
+
+
 def test_bst_appending_converged_tail_keeps_limit():
     vals = [(int(l), -1.5 + 0.8 * float(l) ** -1.0) for l in range(6, 31, 3)]
     tab = bst_extrapolate(vals, 1.0)

@@ -168,6 +168,21 @@ def test_krylov_momentum_block_gap_is_the_slowest_mode():
         assert off <= 1e-9, (length, n_a, n_b, k)
 
 
+def test_krylov_solves_every_small_sector():
+    """Every sector at L = 2..6, however few its states, gets the dense gap
+    and zero count from `krylov_gap`: a block too small for ARPACK is
+    solved densely."""
+    for length in range(2, 7):
+        for sector in all_sectors(length):
+            gen = build_hamiltonian_tasep(length, sector)
+            want, got = dense_spectrum(gen), krylov_gap(gen, seed=0)
+            assert got.zero_count == want.zero_count, sector
+            if want.gap is None:
+                assert got.gap is None, sector
+            else:
+                assert abs(got.gap - want.gap) <= 1e-9, sector
+
+
 def test_krylov_seed_independence():
     gen = build_hamiltonian_tasep(6, Sector(6, 2, 2))
     g1 = krylov_gap(gen, seed=1).gap
@@ -180,10 +195,7 @@ def test_krylov_on_momentum_block():
     full_gap = dense_spectrum(gen).gap
     best = None
     for k in range(6):
-        blk = project_momentum(gen, k)
-        if blk.dimension < 3:
-            continue
-        res = krylov_gap(blk, seed=0)
+        res = krylov_gap(project_momentum(gen, k), seed=0)
         if res.gap is not None and (best is None or res.gap.real < best.real):
             best = res.gap
     assert best is not None
