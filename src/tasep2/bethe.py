@@ -225,24 +225,23 @@ def bethe_residual(roots):
 # ---------------------------------------------------------------------------
 # Newton solver
 
-def _newton(Z0, Y0, length, I=None, J=None):
+def _newton(Z0, Y0, length, K=None):
     """Damped Newton on the log-form system; the one solver of this module.
 
-    The branch integers (I, J) stay fixed; with I = None they are taken from
-    the principal logarithms at the start point (see `_log_residual`).  A
-    line search that cannot lower the residual ends the solve.
+    The branch integers K = (I, J) stay fixed; with K = None they are taken
+    from the principal logarithms at the start point (see `_log_residual`).
+    A line search that cannot lower the residual ends the solve.
 
     Converged means a max-norm residual <= SOLVER_TOL.  A failed line search
     also ends the solve, as converged, when the residual is already below
     the roundoff floor of the log sums (`_roundoff_floor`).  A converged solve
     logs L, p, its Newton steps, their line-search halvings and the final
-    residual at DEBUG.  Returns (Z, Y, I, J, residual_norm) or raises a
+    residual at DEBUG.  Returns (Z, Y, K, residual_norm) or raises a
     `BetheError`.
     """
     Z, Y = np.array(Z0, dtype=complex), np.array(Y0, dtype=complex)
     p = len(Z)
-    F, K = _log_residual(Z, Y, length,
-                         None if I is None else np.concatenate((I, J)))
+    F, K = _log_residual(Z, Y, length, K)
     nrm = float(np.abs(F).max())
     steps = halvings = 0
     for _ in range(200):
@@ -279,7 +278,7 @@ def _newton(Z0, Y0, length, I=None, J=None):
                 f"iteration budget exhausted at residual {nrm:.3e}")
     logger.debug("L=%s, p=%d: Newton solve in %d steps, %d halvings, "
                  "residual %.3e", length, p, steps, halvings, nrm)
-    return Z, Y, K[:p], K[p:], nrm
+    return Z, Y, K, nrm
 
 
 def _multistart_seeds(p, r, seed):
@@ -306,7 +305,7 @@ def solve_bethe(length, *, branch_integers, second_integers=None,
     """
     I = np.asarray(branch_integers, dtype=int)
     J = np.asarray(() if second_integers is None else second_integers, int)
-    p, r = len(I), len(J)
+    p, r, K = len(I), len(J), np.concatenate((I, J))
     if p < 1:
         raise ValueError("need at least one first-level root")
     attempts = []
@@ -324,7 +323,7 @@ def solve_bethe(length, *, branch_integers, second_integers=None,
     last_exc = None
     for Z0, Y0 in attempts:
         try:
-            Z, Y, _, _, res = _newton(Z0, Y0, length, I, J)
+            Z, Y, _, res = _newton(Z0, Y0, length, K)
         except BetheError as exc:
             last_exc = exc
             continue
@@ -529,9 +528,9 @@ def _gap_chain(lengths, before):
                 raise NewtonDivergenceError(
                     f"L={length}: no convergence in ln beta "
                     f"(last step {step:.3e})")
-            Z, Y, I, J, res = _newton(s / (s - 1.0), np.zeros(0, complex),
-                                      length)
-            roots = BetheRootSet.from_big_z(length, Z, Y, I, J, res)
+            Z, Y, K, res = _newton(s / (s - 1.0), np.zeros(0, complex),
+                                   length)  # r = 0, so K is I
+            roots = BetheRootSet.from_big_z(length, Z, Y, K, K[:0], res)
             gap = energy_from_roots(roots).real
             if gap <= 0:
                 raise NewtonDivergenceError(

@@ -148,9 +148,11 @@ def _outdir(args):
 
 def cmd_diag(args):
     sector = Sector(args.length, args.na, args.nb)
-    gen = build_hamiltonian_tasep(args.length, sector)
-    if args.momentum is not None:
-        gen = project_momentum(gen, args.momentum)
+    if args.momentum is None:
+        gen = build_hamiltonian_tasep(args.length, sector)
+    else:  # unbound, so the sector generator is freed before the block build
+        gen = project_momentum(build_hamiltonian_tasep(args.length, sector),
+                               args.momentum)
     if args.krylov:
         result = spectra.krylov_gap(gen, seed=args.seed)
     else:

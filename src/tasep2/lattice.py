@@ -148,20 +148,17 @@ def assemble_moves(length, packs):
     return np.concatenate(rows), np.concatenate(cols), vals
 
 
-def _assemble(length, packs):
-    rows, cols, vals = assemble_moves(length, packs)
-    return SectorGenerator(length, rows, cols, vals, packs)
-
-
 def build_hamiltonian_tasep(length, sector=None):
     """Generator of the whole ring or of one sector."""
     if length < 2:
         raise ValueError("need at least two sites")
     if sector is None:
-        return _assemble(length, np.arange(3 ** length, dtype=np.int64))
-    if sector.length != length:
+        packs = np.arange(3 ** length, dtype=np.int64)
+    elif sector.length != length:
         raise ValueError("sector length mismatch")
-    return _assemble(length, sector_packs(sector))
+    else:
+        packs = sector_packs(sector)
+    return SectorGenerator(length, *assemble_moves(length, packs), packs)
 
 
 def translate_packed(x, length):
@@ -227,29 +224,28 @@ def momentum_blocks(gen, momenta):
     packs = gen.packs
     rep, shift, period = orbit_table(length, packs)
     is_rep = rep == np.arange(len(packs))
-    # only columns at orbit representatives enter any block
+    # only columns at orbit representatives enter any block; from here on
+    # an index is a position among the representatives
     on_rep = is_rep[gen.cols]
     src, dst = gen.cols[on_rep], gen.rows[on_rep]
     vals = gen.vals[on_rep] * np.sqrt(period[src] / period[dst])
-    dst_rep, dst_shift = rep[dst], shift[dst]
+    local = np.cumsum(is_rep) - 1
+    src, dst_rep, dst_shift = local[src], local[rep[dst]], shift[dst]
+    period, rep_packs = period[is_rep], packs[is_rep]
     pair = None
     if any(2 * k % length for k in momenta):
-        reps = np.flatnonzero(is_rep)
         # CP a = 3^L - 1 - (a with its sites in reverse order)
         low = 3 ** np.arange(length, dtype=np.int64)
         mirror = (3 ** length - 1
-                  - packs[reps, None] // site_weights(length) % 3 @ low)
+                  - rep_packs[:, None] // site_weights(length) % 3 @ low)
         at = np.searchsorted(packs, mirror)
         if np.array_equal(packs.take(at, mode="clip"), mirror):
-            pair, turns = np.empty_like(rep), np.empty_like(shift)
-            pair[reps], turns[reps] = rep[at], shift[at]
+            pair, turns = local[rep[at]], shift[at]
 
     def block(k):
-        keep = is_rep & ((k * period) % length == 0)
-        rep_rows = np.flatnonzero(keep)
-        dim = len(rep_rows)
-        index = np.full(len(packs), -1, dtype=np.int64)
-        index[rep_rows] = np.arange(dim)
+        keep = (k * period) % length == 0
+        index = np.cumsum(keep) - 1
+        dim = np.count_nonzero(keep)
         omega = np.exp(2j * np.pi * k / length)
         phases = np.array([omega ** s for s in range(length)])
         if 2 * k % length == 0:
@@ -260,10 +256,10 @@ def momentum_blocks(gen, momenta):
         real = pair is not None and 2 * k % length != 0 and dim > 0
         if not real:
             return SectorGenerator(length, *_fold(r * dim + c, data, dim),
-                                   packs[rep_rows], momentum=k)
+                                   rep_packs[keep], momentum=k)
         # U[a, a] and U[a, pair a]; a self-paired row has only the first
-        mate, ident = index[pair[rep_rows]], np.arange(dim)
-        twist = np.exp(1j * np.pi * k / length * turns[rep_rows])  # w^(t/2)
+        mate, ident = index[pair[keep]], np.arange(dim)
+        twist = np.exp(1j * np.pi * k / length * turns[keep])  # w^(t/2)
         half = np.sqrt(0.5)
         lower, alone = ident < mate, ident == mate
         own = np.where(lower, half, -1j * half * twist * twist)
@@ -272,8 +268,7 @@ def momentum_blocks(gen, momenta):
         other[alone] = 0
         # R[i, j] += conj(U[r, i]) B[r, c] U[c, j], i in {r, pair r}, j in
         # {c, pair c}: four entries per entry of B, handed to `_fold` as
-        # temporaries it can free once sorted, since the sector generator
-        # is still alive here when `diag --momentum` projects it
+        # temporaries it can free once sorted
         row, col, data = _fold(
             np.concatenate([i * dim + j for i in (r, mate[r])
                             for j in (c, mate[c])]),
@@ -286,7 +281,7 @@ def momentum_blocks(gen, momenta):
                              f"|Im| up to {imag:.3e}")
         big = np.abs(data.real) > floor
         return SectorGenerator(length, row[big], col[big], data.real[big],
-                               packs[rep_rows], momentum=k, cp_real=True)
+                               rep_packs[keep], momentum=k, cp_real=True)
 
     return (block(k) for k in momenta)
 
@@ -308,8 +303,11 @@ def _fold(key, vals, dim):
 
 def project_momentum(gen, k):
     """Block of the generator on the translation eigenspace exp(2 pi i k / L);
-    see `momentum_blocks`."""
-    return next(momentum_blocks(gen, [k]))
+    see `momentum_blocks`.  The generator is released before the block is
+    built: the blocks keep only its columns at orbit representatives."""
+    blocks = momentum_blocks(gen, [k])
+    del gen
+    return next(blocks)
 
 
 def all_sectors(length):

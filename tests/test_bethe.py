@@ -537,10 +537,10 @@ def test_newton_accepts_at_roundoff_floor_and_logs(gap6, caplog,
     Z, Y = gap6.big_z, gap6.big_y
     monkeypatch.setattr(bethe, "SOLVER_TOL", 0.0)
     with caplog.at_level(logging.DEBUG, logger="tasep2.bethe"):
-        Z1, _, I1, _, res = _newton(Z, Y, 6, gap6.branch_integers,
-                                    gap6.second_integers)
+        Z1, _, K1, res = _newton(Z, Y, 6, np.concatenate(
+            (gap6.branch_integers, gap6.second_integers)))
     assert 0.0 < res <= _roundoff_floor(Z1, Y, 6)
-    np.testing.assert_array_equal(I1, gap6.branch_integers)
+    np.testing.assert_array_equal(K1, gap6.branch_integers)
     assert "roundoff floor" in caplog.text
 
 

@@ -429,6 +429,18 @@ def test_config_file_list_values(tmp_path):
     assert got["I"] == [0, -1]
 
 
+def test_config_file_force_flag(tmp_path):
+    """A store_true flag in a config file is on for `true` and off for
+    `false`: a repeated `diag` overwrites its report, or refuses to."""
+    cfg = tmp_path / "run.cfg"
+    for force, rc in (("true", 0), ("false", cli.EXIT_IO)):
+        cfg.write_text(f"force={force}\noutput_dir={tmp_path / force}\n")
+        args = ["--config", str(cfg), "diag", "--length", "4", "--na", "1",
+                "--nb", "1"]
+        assert run(args) == 0
+        assert run(args) == rc, force
+
+
 def test_config_keys_are_long_flags(tmp_path, capsys):
     """A config key is a long flag's name (`from`, whose dest is `frm`); a
     key that names no flag of any subcommand, or a list value that does not

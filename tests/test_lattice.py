@@ -1,5 +1,7 @@
 """Sector enumeration and generator assembly against the brute-force oracle."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -241,3 +243,25 @@ def test_real_form_only_where_cp_maps_the_block_onto_itself():
         momentum_blocks(project_momentum(gen, 1), [1])
     with pytest.raises(ValueError):
         momentum_blocks(gen, [6])
+
+
+def test_projection_frees_the_generator_before_the_fold(monkeypatch):
+    """`project_momentum` drops the sector generator once `momentum_blocks`
+    has returned, so a generator passed unbound is freed before the block's
+    real form is folded."""
+    alive, seen = set(), []
+    real_blocks, real_fold = lattice.momentum_blocks, lattice._fold
+
+    def blocks_spy(gen, momenta):
+        alive.add(id(gen))
+        weakref.finalize(gen, alive.discard, id(gen))
+        return real_blocks(gen, momenta)
+
+    def fold_spy(key, vals, dim):
+        seen.append(len(alive))
+        return real_fold(key, vals, dim)
+
+    monkeypatch.setattr(lattice, "momentum_blocks", blocks_spy)
+    monkeypatch.setattr(lattice, "_fold", fold_spy)
+    blk = project_momentum(build_hamiltonian_tasep(9, Sector(9, 3, 3)), 1)
+    assert blk.cp_real and seen == [0]

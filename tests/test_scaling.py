@@ -82,6 +82,16 @@ def test_bst_requires_two_entries_and_positive_omega():
         bst_extrapolate([(6, 1.0), (9, 0.5)], -1.0)
 
 
+def test_bst_truncates_at_a_zero_correction_denominator():
+    """Values proportional to L make the first correction denominator
+    exactly 0: the tableau stops at its first column, flags `truncated`,
+    and a one-column tableau has an infinite error estimate."""
+    tab = bst_extrapolate([(6, 6.0), (9, 9.0), (12, 12.0)], 1.0)
+    assert tab.truncated
+    assert tab.table == [[6.0, 9.0, 12.0]]
+    assert tab.limit == 6.0 and tab.error_estimate == np.inf
+
+
 def test_bst_paper_table_reaches_three_halves():
     vals = sorted(PAPER_EXTRAPOLANTS.items())
     tab = bst_scan(vals)

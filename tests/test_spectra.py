@@ -324,3 +324,30 @@ def test_sorted_eigs_order_survives_last_bit_change():
                  [complex(up, im), complex(re, -im)]):
         out = spectra._sorted_eigs(np.array(vals))
         np.testing.assert_array_equal(out.imag, [-im, im])
+
+
+def test_sector_gap_is_its_smaller_lumped_gap():
+    """Every sector with A and B particles at L = 3..8 (83 sectors) has the
+    Re gap of the slower of its two one-species lumpings, (L, n_A, 0) and
+    (L, n_A + n_B, 0); a lumping with no vacancy is frozen and has none.
+    Only real parts are compared: where they tie, the pick can differ
+    ((4,1,2) reports 1, its lumped sector 1 + i)."""
+    lumped, count = {}, 0
+
+    def gap_re(length, n):
+        if (length, n) not in lumped:
+            gap = dense_spectrum(
+                build_hamiltonian_tasep(length, Sector(length, n, 0))).gap
+            lumped[length, n] = np.inf if gap is None else gap.real
+        return lumped[length, n]
+
+    for length in range(3, 9):
+        for sector in all_sectors(length):
+            if sector.n_a and sector.n_b:
+                gen = build_hamiltonian_tasep(length, sector)
+                gap = dense_spectrum(gen).gap
+                want = min(gap_re(length, sector.n_a),
+                           gap_re(length, sector.n_a + sector.n_b))
+                assert abs(gap.real - want) <= 1e-12, sector
+                count += 1
+    assert count == 83
