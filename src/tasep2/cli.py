@@ -150,9 +150,8 @@ def cmd_diag(args):
     sector = Sector(args.length, args.na, args.nb)
     if args.momentum is None:
         gen = build_hamiltonian_tasep(args.length, sector)
-    else:  # unbound, so the sector generator is freed before the block build
-        gen = project_momentum(build_hamiltonian_tasep(args.length, sector),
-                               args.momentum)
+    else:
+        gen = project_momentum(sector, args.momentum)
     if args.krylov:
         result = spectra.krylov_gap(gen, seed=args.seed)
     else:

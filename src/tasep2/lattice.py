@@ -115,50 +115,53 @@ def site_weights(length):
 
 
 def assemble_moves(length, packs):
-    """COO data of the master-equation generator on the given sorted
-    configurations.
+    """COO data of the master-equation generator on the columns of the given
+    sorted configurations.
 
     Column convention: every right exchange c -> c' puts -1 at (row=c',
     col=c), and each configuration that can move gets its number of moves on
-    the diagonal.  Returns (rows, cols, vals) in assembly order; the (row,
-    col) pairs are unique and the values nonzero, since distinct bonds of one
-    configuration reach distinct targets (at L = 2 the two bonds join the
-    same sites, but only one of them holds g < d).
+    the diagonal.  Returns (targets, cols, vals) in assembly order: each
+    entry's row as its packed code, its column as a position in `packs`.
+    The (row, col) pairs are unique and the values nonzero, since distinct
+    bonds of one configuration reach distinct targets (at L = 2 the two
+    bonds join the same sites, but only one of them holds g < d).
     """
+    if length < 2:
+        raise ValueError("need at least two sites")
     weight = site_weights(length)
     digits = np.empty((len(packs), length), dtype=np.int8)
     for j in range(length):
         digits[:, j] = packs // weight[j] % 3
     escape = np.zeros(len(packs))
-    rows, cols = [], []
+    targets, cols = [], []
     for j in range(length):
         right = (j + 1) % length
         g, d = digits[:, j], digits[:, right]
         moves = g < d
         src = np.flatnonzero(moves)
         step = (d[src] - g[src]) * (weight[j] - weight[right])
-        rows.append(np.searchsorted(packs, packs[src] + step))
+        targets.append(packs[src] + step)
         cols.append(src)
         escape += moves
     n_moves = sum(len(c) for c in cols)
     moving = np.flatnonzero(escape)
-    rows.append(moving)
+    targets.append(packs[moving])
     cols.append(moving)
     vals = np.concatenate((np.full(n_moves, -1.0), escape[moving]))
-    return np.concatenate(rows), np.concatenate(cols), vals
+    return np.concatenate(targets), np.concatenate(cols), vals
 
 
 def build_hamiltonian_tasep(length, sector=None):
     """Generator of the whole ring or of one sector."""
-    if length < 2:
-        raise ValueError("need at least two sites")
     if sector is None:
         packs = np.arange(3 ** length, dtype=np.int64)
     elif sector.length != length:
         raise ValueError("sector length mismatch")
     else:
         packs = sector_packs(sector)
-    return SectorGenerator(length, *assemble_moves(length, packs), packs)
+    targets, cols, vals = assemble_moves(length, packs)
+    return SectorGenerator(length, np.searchsorted(packs, targets), cols,
+                           vals, packs)
 
 
 def translate_packed(x, length):
@@ -188,16 +191,18 @@ def orbit_table(length, packs):
     return np.searchsorted(packs, best), shift, period
 
 
-def momentum_blocks(gen, momenta):
-    """Blocks of the generator on the translation eigenspaces exp(2 pi i k / L),
-    one per k in `momenta`, each built in the basis it is solved in, all
-    from one orbit table.  Arguments are checked at the call; the blocks
-    are yielded one at a time, so a caller that solves each before asking
-    for the next holds at most two.
+def momentum_blocks(length, packs, momenta):
+    """Blocks of the generator on the sorted codes `packs` (a sector's, or
+    the full space's) on the translation eigenspaces exp(2 pi i k / L), one
+    per k in `momenta`, each built in the basis it is solved in, all from
+    one orbit table.  Arguments are checked at the call; the blocks are
+    yielded one at a time, so a caller that solves each before asking for
+    the next holds at most two.
 
     Basis vectors are normalized sums over translation orbits; an orbit of
     period d contributes to momentum k iff k*d = 0 mod L.  Column a of a
-    block is the generator applied to representative a, each entry folded
+    block is the generator applied to representative a, so moves are
+    assembled for the representatives alone, and each entry is folded
     onto its target's orbit with the phase of the shift reaching it.  For
     k = 0 and k = L/2 the phases are exactly +-1 and the block is real.
 
@@ -216,22 +221,17 @@ def momentum_blocks(gen, momenta):
     and R is folded once.  An imaginary part above roundoff raises; entries
     of at most REAL_TOL times the largest are dropped.
     """
-    if gen.momentum is not None:
-        raise ValueError("generator is already a momentum block")
-    length = gen.length
     if any(not 0 <= k < length for k in momenta):
         raise ValueError("momentum out of range")
-    packs = gen.packs
     rep, shift, period = orbit_table(length, packs)
     is_rep = rep == np.arange(len(packs))
-    # only columns at orbit representatives enter any block; from here on
-    # an index is a position among the representatives
-    on_rep = is_rep[gen.cols]
-    src, dst = gen.cols[on_rep], gen.rows[on_rep]
-    vals = gen.vals[on_rep] * np.sqrt(period[src] / period[dst])
+    # from here on an index is a position among the representatives
+    rep_packs = packs[is_rep]
+    targets, src, vals = assemble_moves(length, rep_packs)
+    dst = np.searchsorted(packs, targets)
+    vals *= np.sqrt(period[is_rep][src] / period[dst])
     local = np.cumsum(is_rep) - 1
-    src, dst_rep, dst_shift = local[src], local[rep[dst]], shift[dst]
-    period, rep_packs = period[is_rep], packs[is_rep]
+    dst_rep, dst_shift, period = local[rep[dst]], shift[dst], period[is_rep]
     pair = None
     if any(2 * k % length for k in momenta):
         # CP a = 3^L - 1 - (a with its sites in reverse order)
@@ -301,13 +301,11 @@ def _fold(key, vals, dim):
     return row, col, data[nonzero]
 
 
-def project_momentum(gen, k):
-    """Block of the generator on the translation eigenspace exp(2 pi i k / L);
-    see `momentum_blocks`.  The generator is released before the block is
-    built: the blocks keep only its columns at orbit representatives."""
-    blocks = momentum_blocks(gen, [k])
-    del gen
-    return next(blocks)
+def project_momentum(sector, k):
+    """Block of the sector's generator on the translation eigenspace
+    exp(2 pi i k / L); see `momentum_blocks`.  No generator of the whole
+    sector is built."""
+    return next(momentum_blocks(sector.length, sector_packs(sector), [k]))
 
 
 def all_sectors(length):

@@ -102,7 +102,7 @@ def _solve_blocks(gen, solve):
         return solve(gen)
     length = gen.length
     parts = []
-    for blk in momentum_blocks(gen, range(length // 2 + 1)):
+    for blk in momentum_blocks(length, gen.packs, range(length // 2 + 1)):
         vals = solve(blk)
         k = blk.momentum
         parts += [vals, vals.conj()] if 0 < k < length - k else [vals]

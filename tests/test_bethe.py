@@ -233,14 +233,22 @@ def test_calibration_solves_only_the_fifteen_l6_states(monkeypatch):
 def test_lumped_sectors_hold_the_bethe_gap():
     """The A positions alone, and the occupied sites alone, form one-species
     TASEPs (the sectors (L, L/3, 0) and (L, 2L/3, 0)); the k = 1 blocks of
-    both reproduce the Bethe gap up to conjugation at L = 15 and 18."""
-    for length in (15, 18):
+    both reproduce the Bethe gap up to conjugation at L = 15, 18 and 21.
+    At L = 18 the whole (18,6,0) sector has the k = 1 block's gap: no other
+    block lies lower."""
+    def off(got, want):
+        return min(abs(got - want), abs(got - np.conj(want)))
+
+    for length in (15, 18, 21):
         want = energy_from_roots(solve_gap_state(length))
         for n in (length // 3, 2 * length // 3):
-            gen = build_hamiltonian_tasep(length, Sector(length, n, 0))
-            got = krylov_gap(project_momentum(gen, 1), seed=0).gap
-            off = min(abs(got - want), abs(got - np.conj(want)))
-            assert off <= 1e-9, (length, n)
+            sector = Sector(length, n, 0)
+            got = krylov_gap(project_momentum(sector, 1), seed=0).gap
+            assert off(got, want) <= 1e-9, (length, n)
+            if (length, n) == (18, 6):
+                whole = krylov_gap(build_hamiltonian_tasep(18, sector),
+                                   seed=0).gap
+                assert off(whole, got) <= 1e-12
 
 
 def test_bethe_matches_ed_l6(gap6, spectrum_l6_equal):
@@ -575,9 +583,9 @@ def test_momentum_block_gaps_match_bethe(spectrum_l9_equal):
     def off(got, want):
         return min(abs(got - want), abs(got - np.conj(want)))
 
-    blk = project_momentum(build_hamiltonian_tasep(9, Sector(9, 3, 3)), 1)
+    blk = project_momentum(Sector(9, 3, 3), 1)
     assert off(dense_spectrum(blk).gap, spectrum_l9_equal.gap) <= 1e-9
-    blk = project_momentum(build_hamiltonian_tasep(12, Sector(12, 4, 4)), 1)
+    blk = project_momentum(Sector(12, 4, 4), 1)
     bethe_gap = energy_from_roots(solve_gap_state(12))
     assert off(krylov_gap(blk, seed=0).gap, bethe_gap) <= 1e-9
 

@@ -25,7 +25,8 @@ def test_enumerate_matches_bruteforce(length, n_a, n_b):
 @pytest.mark.parametrize("length,n_a,n_b", [(5, 2, 1), (4, 1, 1), (6, 2, 2)])
 def test_assembly_matches_bruteforce(length, n_a, n_b):
     packs = lattice.sector_packs(Sector(length, n_a, n_b))
-    rows, cols, vals = lattice.assemble_moves(length, packs)
+    targets, cols, vals = lattice.assemble_moves(length, packs)
+    rows = np.searchsorted(packs, targets)
     n = len(packs)
     mat = np.zeros((n, n))
     for r, c, v in zip(rows, cols, vals):

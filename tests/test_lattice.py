@@ -1,7 +1,5 @@
 """Sector enumeration and generator assembly against the brute-force oracle."""
 
-import weakref
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,11 +8,12 @@ from tasep2 import (
     Sector,
     all_sectors,
     build_hamiltonian_tasep,
+    cli,
     dense_spectrum,
     lattice,
     project_momentum,
 )
-from tasep2.lattice import momentum_blocks, sector_packs
+from tasep2.lattice import momentum_blocks, orbit_table, sector_packs
 
 import oracles
 
@@ -105,30 +104,31 @@ def test_translation_commutes():
 
 
 def test_momentum_blocks_partition_dimension():
-    gen = build_hamiltonian_tasep(6, Sector(6, 2, 2))
-    dims = [project_momentum(gen, k).dimension for k in range(6)]
+    sector = Sector(6, 2, 2)
+    dims = [project_momentum(sector, k).dimension for k in range(6)]
     assert sum(dims) == 90
     # k = 0 and k = L/2 carry phases +-1 exactly, so their blocks are real;
     # CP maps this n_a = n_vac sector onto itself, so the others are built
     # as real forms
     for k in range(6):
-        blk = project_momentum(gen, k)
+        blk = project_momentum(sector, k)
         assert not np.iscomplexobj(blk.vals), k
         assert blk.cp_real == (k not in (0, 3)), k
         assert blk.momentum == k
-    with pytest.raises(ValueError):
-        project_momentum(project_momentum(gen, 1), 1)
 
 
 def test_momentum_fold_matches_coo_oracle():
     """The sort-and-reduceat orbit fold gives the triplets of scipy's
-    `coo_array` fold bit for bit, for every sector with L <= 8 and every k
+    `coo_array` fold bit for bit, for every sector with L <= 9 and every k
     whose block is not built as a real form (the real forms are checked
-    against the same oracle's eigenvalues below)."""
-    for length in range(2, 9):
+    against the same oracle's eigenvalues below).  The oracle filters the
+    sector generator's entries at representative columns, so this also
+    checks the moves assembled at the representatives alone."""
+    for length in range(2, 10):
         for sector in all_sectors(length):
             gen = build_hamiltonian_tasep(length, sector)
-            for k, blk in enumerate(momentum_blocks(gen, range(length))):
+            for k, blk in enumerate(momentum_blocks(length, gen.packs,
+                                                    range(length))):
                 if blk.cp_real:
                     continue
                 want = oracles.momentum_block_coo(gen, k)
@@ -142,18 +142,19 @@ def test_full_space_blocks_carry_ring_length():
     at L=2 k=1, 11 at L=3 k=0) do not determine."""
     for length, k, dim in ((2, 1, 3), (3, 0, 11)):
         gen = build_hamiltonian_tasep(length)
-        blk = project_momentum(gen, k)
+        blk = next(momentum_blocks(length, gen.packs, [k]))
         assert (gen.length, blk.length, blk.dimension) == (length, length, dim)
 
 
 def test_momentum_union_recovers_sector_spectrum():
     for length, n_a, n_b in ((5, 2, 1), (6, 2, 2), (7, 2, 2)):
-        gen = build_hamiltonian_tasep(length, Sector(length, n_a, n_b))
-        direct = scipy.linalg.eigvals(gen.to_dense())
+        sector = Sector(length, n_a, n_b)
+        direct = scipy.linalg.eigvals(
+            build_hamiltonian_tasep(length, sector).to_dense())
         full = np.sort(direct.real)
         union = []
         for k in range(length):
-            blk = project_momentum(gen, k)
+            blk = project_momentum(sector, k)
             union.extend(dense_spectrum(blk).eigenvalues)
         union = np.asarray(union)
         np.testing.assert_allclose(np.sort(union.real), full, atol=1e-8)
@@ -162,8 +163,7 @@ def test_momentum_union_recovers_sector_spectrum():
 
 
 def test_zero_momentum_block_has_steady_state():
-    gen = build_hamiltonian_tasep(6, Sector(6, 2, 2))
-    blk = project_momentum(gen, 0)
+    blk = project_momentum(Sector(6, 2, 2), 0)
     vals = dense_spectrum(blk).eigenvalues
     assert np.min(np.abs(vals)) <= 1e-10
 
@@ -189,7 +189,8 @@ def test_real_form_is_real_with_the_block_spectrum():
     solved = 0
     for gen in gens:
         momenta = [k for k in range(gen.length) if 2 * k % gen.length]
-        for k, real in zip(momenta, momentum_blocks(gen, momenta)):
+        for k, real in zip(momenta, momentum_blocks(gen.length, gen.packs,
+                                                    momenta)):
             assert real.momentum == k
             if real.dimension == 0:
                 assert not real.cp_real
@@ -214,7 +215,7 @@ def test_real_form_keeps_no_roundoff_entry():
                 continue
             gen = build_hamiltonian_tasep(length, sector)
             momenta = [k for k in range(length // 2 + 1) if 2 * k % length]
-            for real in momentum_blocks(gen, momenta):
+            for real in momentum_blocks(length, gen.packs, momenta):
                 if not real.cp_real:
                     continue
                 size = np.abs(real.vals)
@@ -231,37 +232,40 @@ def test_real_form_keeps_no_roundoff_entry():
 def test_real_form_only_where_cp_maps_the_block_onto_itself():
     """Real forms are built for k != 0, L/2 where CP maps the sector onto
     itself, and never for (10,3,3) (CP maps it onto (10,4,3)) or for an
-    empty block ((3,0,3) k = 1); a momentum block is not projected again."""
-    gen = build_hamiltonian_tasep(6, Sector(6, 2, 2))
-    assert [b.cp_real for b in momentum_blocks(gen, range(6))] == [
+    empty block ((3,0,3) k = 1); a momentum outside 0..L-1 raises."""
+    packs = sector_packs(Sector(6, 2, 2))
+    assert [b.cp_real for b in momentum_blocks(6, packs, range(6))] == [
         False, True, True, False, True, True]
-    odd = build_hamiltonian_tasep(10, Sector(10, 3, 3))
-    assert not any(b.cp_real for b in momentum_blocks(odd, range(10)))
-    empty = project_momentum(build_hamiltonian_tasep(3, Sector(3, 0, 3)), 1)
+    odd = sector_packs(Sector(10, 3, 3))
+    assert not any(b.cp_real for b in momentum_blocks(10, odd, range(10)))
+    empty = project_momentum(Sector(3, 0, 3), 1)
     assert (empty.dimension, empty.cp_real) == (0, False)
     with pytest.raises(ValueError):
-        momentum_blocks(project_momentum(gen, 1), [1])
-    with pytest.raises(ValueError):
-        momentum_blocks(gen, [6])
+        momentum_blocks(6, packs, [6])
 
 
-def test_projection_frees_the_generator_before_the_fold(monkeypatch):
-    """`project_momentum` drops the sector generator once `momentum_blocks`
-    has returned, so a generator passed unbound is freed before the block's
-    real form is folded."""
-    alive, seen = set(), []
-    real_blocks, real_fold = lattice.momentum_blocks, lattice._fold
+def test_diag_momentum_assembles_only_the_representatives(monkeypatch,
+                                                          tmp_path):
+    """`tasep2 diag --momentum` assembles moves once, for the (9,3,3) orbit
+    representatives alone, and builds no sector generator."""
+    assembled = []
+    real_assemble = lattice.assemble_moves
 
-    def blocks_spy(gen, momenta):
-        alive.add(id(gen))
-        weakref.finalize(gen, alive.discard, id(gen))
-        return real_blocks(gen, momenta)
+    def assemble_spy(length, packs):
+        assembled.append((length, packs))
+        return real_assemble(length, packs)
 
-    def fold_spy(key, vals, dim):
-        seen.append(len(alive))
-        return real_fold(key, vals, dim)
+    def build_spy(*args):
+        raise AssertionError("sector generator built")
 
-    monkeypatch.setattr(lattice, "momentum_blocks", blocks_spy)
-    monkeypatch.setattr(lattice, "_fold", fold_spy)
-    blk = project_momentum(build_hamiltonian_tasep(9, Sector(9, 3, 3)), 1)
-    assert blk.cp_real and seen == [0]
+    monkeypatch.setattr(lattice, "assemble_moves", assemble_spy)
+    monkeypatch.setattr(lattice, "build_hamiltonian_tasep", build_spy)
+    monkeypatch.setattr(cli, "build_hamiltonian_tasep", build_spy)
+    assert cli.main(["diag", "--length", "9", "--na", "3", "--nb", "3",
+                     "--momentum", "1", "--output-dir", str(tmp_path)]) == 0
+    packs = sector_packs(Sector(9, 3, 3))
+    rep = orbit_table(9, packs)[0]
+    reps = packs[rep == np.arange(len(packs))]
+    (length, got), = assembled
+    assert length == 9 and len(reps) == 188
+    np.testing.assert_array_equal(got, reps)

@@ -159,8 +159,7 @@ def test_krylov_momentum_block_gap_is_the_slowest_mode():
     cases = ((8, 2, 2, 4), (9, 3, 2, 4), (9, 3, 2, 5), (9, 2, 2, 4),
              (10, 3, 3, 4), (10, 3, 3, 5), (7, 2, 0, 0), (8, 2, 0, 3))
     for length, n_a, n_b, k in cases:
-        gen = build_hamiltonian_tasep(length, Sector(length, n_a, n_b))
-        blk = project_momentum(gen, k)
+        blk = project_momentum(Sector(length, n_a, n_b), k)
         want = dense_spectrum(blk)
         res = krylov_gap(blk, seed=0)
         assert len(res.eigenvalues) == min(spectra.N_EIGS, blk.dimension)
@@ -191,11 +190,11 @@ def test_krylov_seed_independence():
 
 
 def test_krylov_on_momentum_block():
-    gen = build_hamiltonian_tasep(6, Sector(6, 2, 2))
-    full_gap = dense_spectrum(gen).gap
+    sector = Sector(6, 2, 2)
+    full_gap = dense_spectrum(build_hamiltonian_tasep(6, sector)).gap
     best = None
     for k in range(6):
-        res = krylov_gap(project_momentum(gen, k), seed=0)
+        res = krylov_gap(project_momentum(sector, k), seed=0)
         if res.gap is not None and (best is None or res.gap.real < best.real):
             best = res.gap
     assert best is not None
@@ -217,7 +216,7 @@ def test_krylov_logs_each_arnoldi_block(caplog):
     with caplog.at_level(logging.DEBUG, logger="tasep2.spectra"):
         krylov_gap(gen, seed=0)
     records = [r for r in caplog.records if r.name == "tasep2.spectra"]
-    solved = list(momentum_blocks(gen, range(4)))
+    solved = list(momentum_blocks(6, gen.packs, range(4)))
     assert [r.args[:3] for r in records] == [
         (m.dimension, m.to_csr().nnz, m.cp_real) for m in solved]
     assert [m.cp_real for m in solved] == [False, True, True, False]
@@ -233,8 +232,8 @@ def test_full_sector_holds_at_most_two_blocks(monkeypatch):
     once: the one just solved and the one being built."""
     alive, counts = set(), []
 
-    def spy(gen, momenta):
-        for blk in momentum_blocks(gen, momenta):
+    def spy(length, packs, momenta):
+        for blk in momentum_blocks(length, packs, momenta):
             alive.add(blk.momentum)
             weakref.finalize(blk, alive.discard, blk.momentum)
             counts.append(len(alive))
@@ -253,7 +252,7 @@ def test_zero_mode_block_returns_its_zero_mode(monkeypatch):
     """The (12,4,4) k = 0 block holds the zero mode, the eigenvalue of
     smallest real part: Arnoldi returns it once, with every eigenpair's
     residual, recomputed here from the block, within RESIDUAL_TOL."""
-    blk = project_momentum(build_hamiltonian_tasep(12, Sector(12, 4, 4)), 0)
+    blk = project_momentum(Sector(12, 4, 4), 0)
     pairs = []
     eigs = spectra.spla.eigs
 
@@ -291,8 +290,9 @@ def test_summary_fields(tmp_path):
 
 def test_gap_momentum_resolution(spectrum_l6_equal):
     """The slow pair lives in the conjugate momentum blocks k = 1 and 5."""
-    gen = build_hamiltonian_tasep(6, Sector(6, 2, 2))
-    gaps = {k: dense_spectrum(project_momentum(gen, k)).gap for k in range(6)}
+    sector = Sector(6, 2, 2)
+    gaps = {k: dense_spectrum(project_momentum(sector, k)).gap
+            for k in range(6)}
     assert gaps[1] == pytest.approx(spectrum_l6_equal.gap, abs=1e-10)
     assert gaps[5] == pytest.approx(spectrum_l6_equal.gap, abs=1e-10)
     others = [gaps[k].real for k in (0, 2, 3, 4)]
