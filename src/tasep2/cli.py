@@ -5,7 +5,8 @@ the numerics modules return numbers and open no files.  Every summary is
 JSON; the text reports are rows of numbers written with `.17g`, which parses
 back to the same double.  `bethe` takes the root counts p and r from the
 lengths of --integers and --second-integers, which needs --integers.
-`scale` takes only the range --from..--to; its report's omega is always 1.
+`scale` takes only the range --from..--to; `scaling.bst_extrapolate` of
+its report's extrapolants at omega = 1 rebuilds the tableau bit for bit.
 
 Every command accepts --seed and --output-dir (default from
 TASEP2_OUTPUT_DIR), and refuses to overwrite existing files unless --force
@@ -226,19 +227,15 @@ def cmd_scale(args):
                 report["series"])
     _write_rows(out / "extrapolants.csv", args.force, "L,extrapolant\n",
                 report["extrapolants"])
-    tab = report["tableau"]
     payload = {
         "z_estimate": report["z_estimate"],
         "error": report["error"],
-        "omega": tab.omega,
-        "limit": tab.limit,
-        "truncated": tab.truncated,
-        "table": tab.table,
+        "truncated": report["tableau"].truncated,
         "extrapolants": {str(l): e for l, e in report["extrapolants"]},
     }
     _write_json(out / "scaling_report.json", payload, args.force)
     print(json.dumps({"z_estimate": payload["z_estimate"],
-                      "error": payload["error"], "omega": payload["omega"]}))
+                      "error": payload["error"]}))
     return EXIT_OK
 
 

@@ -7,10 +7,12 @@ kernels, so the two routes check each other.
 
 import itertools
 
+import mpmath as mp
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
+from tasep2.bethe import _solve_gap_s
 from tasep2.lattice import orbit_table
 
 A, B, V = 0, 1, 2
@@ -231,3 +233,47 @@ def momentum_block_coo(gen, k):
     coo.sum_duplicates()
     coo.eliminate_zeros()
     return coo.row, coo.col, coo.data
+
+
+def _cubic_root_mp(s, c, tol):
+    """Newton on s^2 (s - 1) = c from s until the step is below tol |s|."""
+    for _ in range(100):
+        ds = (s * s * (s - 1) - c) / (s * (3 * s - 2))
+        s -= ds
+        if abs(ds) <= tol * abs(s):
+            return s
+    raise ArithmeticError(f"cubic Newton did not converge at c = {c}")
+
+
+def gap_energy_mp(length, dps=30):
+    """Gap-state energy E = p - sum_k s_k to `dps` digits (an mpmath mpc).
+
+    The labels are those of `tasep2.bethe._solve_gap_s`: the largest root of
+    each cubic s^2 (s - 1) = beta exp(2 pi i m / p), m = j - (p-1)/2 for
+    j = 0..p-2, then the middle root of cubic j = 0; each s_k starts from
+    its double root there.  Newton in u = ln beta solves
+    g(u) = p u + sum_k ln(s_k / (s_k - 1)) = 0 (mod 2 pi i), with
+    g'(u) = p - sum_k 1/(3 s_k - 2), and every cubic is brought to working
+    precision by its own Newton before each step in u.
+    """
+    p = length // 3
+    (start,), _ = _solve_gap_s([length])
+    with mp.workdps(dps + 10):
+        tol = mp.mpf(10) ** -(dps + 5)
+        phase = [mp.expjpi(mp.mpf(2 * j - p + 1) / p)
+                 for j in [*range(p - 1), 0]]
+        s = [mp.mpc(complex(x)) for x in start]
+        u = mp.log(s[0] ** 2 * (s[0] - 1) / phase[0])
+        for _ in range(50):
+            beta = mp.exp(u)
+            s = [_cubic_root_mp(x, beta * w, tol) for x, w in zip(s, phase)]
+            g = p * u + mp.fsum(mp.log(x / (x - 1)) for x in s)
+            turns = mp.nint(g.imag / (2 * mp.pi))
+            du = (g - 2j * mp.pi * turns) / (
+                p - mp.fsum(1 / (3 * x - 2) for x in s))
+            u -= du
+            if abs(du) <= tol:
+                energy = p - mp.fsum(s)
+                with mp.workdps(dps):
+                    return +energy
+    raise ArithmeticError(f"L={length}: no convergence in ln beta")

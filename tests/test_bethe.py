@@ -5,7 +5,9 @@ import json
 import logging
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -52,6 +54,11 @@ def gap6():
 @pytest.fixture(scope="module")
 def gap_chain_360():
     return solve_gap_chain(360)
+
+
+@pytest.fixture(scope="module")
+def gap_chain_603():
+    return solve_gap_chain(603)
 
 
 def _generic_point(p, r, seed):
@@ -234,8 +241,8 @@ def test_lumped_sectors_hold_the_bethe_gap():
     """The A positions alone, and the occupied sites alone, form one-species
     TASEPs (the sectors (L, L/3, 0) and (L, 2L/3, 0)); the k = 1 blocks of
     both reproduce the Bethe gap up to conjugation at L = 15, 18 and 21.
-    At L = 18 the whole (18,6,0) sector has the k = 1 block's gap: no other
-    block lies lower."""
+    The whole sectors (15,5,0), (15,10,0) and (18,6,0) have their k = 1
+    block's gap, up to conjugation: no other block lies lower."""
     def off(got, want):
         return min(abs(got - want), abs(got - np.conj(want)))
 
@@ -245,8 +252,8 @@ def test_lumped_sectors_hold_the_bethe_gap():
             sector = Sector(length, n, 0)
             got = krylov_gap(project_momentum(sector, 1), seed=0).gap
             assert off(got, want) <= 1e-9, (length, n)
-            if (length, n) == (18, 6):
-                whole = krylov_gap(build_hamiltonian_tasep(18, sector),
+            if length == 15 or (length, n) == (18, 6):
+                whole = krylov_gap(build_hamiltonian_tasep(length, sector),
                                    seed=0).gap
                 assert off(whole, got) <= 1e-12
 
@@ -332,11 +339,11 @@ def _assert_matches_matrix_oracle(Z, Y, length, K, bound):
     assert np.max(np.abs(F - F_want)) <= bound
 
 
-def test_residual_matches_matrix_oracle_at_l603():
+def test_residual_matches_matrix_oracle_at_l603(gap_chain_603):
     """At the chain's L = 603 root set (p = 201) the sorted-angle row sums
     agree with the p x p matrix sums far below SOLVER_TOL (a row sum taken
     in double instead of extended precision drifts ~7e-14 on this chain)."""
-    roots = solve_gap_chain(603)[603]
+    roots = gap_chain_603[603]
     assert roots.p == 201
     K = np.concatenate((roots.branch_integers, roots.second_integers))
     _assert_matches_matrix_oracle(roots.big_z, roots.big_y, 603, K, 1e-14)
@@ -411,6 +418,26 @@ def test_gap_chain_603_meets_solver_tol(caplog):
     for length, roots in chain.items():
         assert roots.residual_norm <= SOLVER_TOL, length
     assert "roundoff floor" not in caplog.text
+
+
+# Largest relative error of the chain's gap against the 30-digit reference
+# over every L in 6..603: 2.9e-12 at L = 195 (median 6.0e-14).
+MP_GAP_REL_TOL = 5e-12
+
+
+def test_gap_chain_matches_30_digit_reference(gap_chain_603):
+    """The 30-digit gap energy of `oracles.gap_energy_mp` reproduces the
+    branch-cut integral's E(6) in all 20 printed digits, and the chain's
+    gap Re E lies within MP_GAP_REL_TOL of it, relative, at a spread of
+    sizes to 603 and at the survey's worst size, 195."""
+    with mpmath.workdps(30):
+        e6 = oracles.gap_energy_mp(6)
+        want = mpmath.mpc("0.52643851664649345536", "-0.44477180876206621469")
+        assert abs(e6 - want) <= 1e-20
+    for length in (6, 33, 99, 195, 201, 300, 603):
+        ref = oracles.gap_energy_mp(length).real
+        gap = energy_from_roots(gap_chain_603[length]).real
+        assert abs(gap - ref) <= MP_GAP_REL_TOL * ref, length
 
 
 def test_gap_cubic_roots_match_numpy_roots():
@@ -735,6 +762,89 @@ def test_solver_error_paths(gap6):
     with pytest.raises(NewtonDivergenceError):
         # coinciding integers force coinciding roots
         solve_bethe(6, branch_integers=(0, 0), seed=0)
+    with pytest.raises(ValueError, match="limited to small systems"):
+        solve_bethe(12, branch_integers=(-2, -1, 0, 1))
+
+
+def test_size_guards():
+    """Sizes the gap solvers and the calibration refuse."""
+    for max_length in (3, 10):
+        with pytest.raises(ValueError, match="multiple of 3, at least 6"):
+            solve_gap_chain(max_length)
+    for length in (3, 7):
+        with pytest.raises(ValueError, match="multiple of 3, at least 6"):
+            solve_gap_state(length)
+    for length in (3, 12):
+        with pytest.raises(ValueError, match="length 6 or 9"):
+            calibrate_energy_map(length)
+
+
+def test_energy_refuses_a_root_at_z_one():
+    roots = BetheRootSet(6, np.array([1.0 + 0j, 2.0 + 1j]), np.zeros(0),
+                         np.zeros(2, int), np.zeros(0, int))
+    with pytest.raises(SingularRootError, match="Z = 1 pole"):
+        energy_from_roots(roots)
+
+
+def test_gap_chain_refuses_unconverged_ln_beta(monkeypatch):
+    """A size whose ln beta Newton ends above |du| = 1e-12 raises before its
+    polish, with no converged prefix."""
+    real = bethe._solve_gap_s
+
+    def stalled(lengths):
+        s, step = real(lengths)
+        return s, np.full(len(step), 1e-3)
+
+    monkeypatch.setattr(bethe, "_solve_gap_s", stalled)
+    with pytest.raises(NewtonDivergenceError,
+                       match=r"L=6: no convergence in ln beta") as info:
+        solve_gap_chain(12)
+    assert info.value.chain == {}
+
+
+@pytest.mark.parametrize("length, factor, message", [
+    (6, -1.0, "L=6: state has nonpositive gap"),
+    (9, 10.0, r"L=9: continued state off the gap branch"),
+])
+def test_gap_chain_refuses_a_state_off_the_gap_branch(monkeypatch, length,
+                                                      factor, message):
+    """A size whose energy has Re <= 0, or whose local exponent against the
+    size before it leaves (-1.9, -1.3), raises with the smaller sizes."""
+    real = bethe.energy_from_roots
+
+    def scaled(roots):
+        e = real(roots)
+        return factor * e if roots.length == length else e
+
+    monkeypatch.setattr(bethe, "energy_from_roots", scaled)
+    with pytest.raises(NewtonDivergenceError, match=message) as info:
+        solve_gap_chain(12)
+    assert sorted(info.value.chain) == list(range(6, length, 3))
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (None, "fewer than two Bethe states"),
+    (lambda evs: evs + 1.0, r"no \(sign, scale, offset\) maps"),
+    (lambda evs: np.concatenate((evs, -evs)), "ambiguous calibration"),
+], ids=["no_state", "no_map", "two_maps"])
+def test_calibration_failures_raise(monkeypatch, spoil, message):
+    """The calibration raises when no Bethe state solves, when no map fits
+    the spectrum (every eigenvalue shifted by 1), and when two maps fit (the
+    spectrum joined by its negative, which admits sign +1 too)."""
+    if spoil is None:
+        def failing_solve(*args, **kwargs):
+            raise NewtonDivergenceError("forced failure")
+
+        monkeypatch.setattr(bethe, "solve_bethe", failing_solve)
+    else:
+        real = bethe.dense_spectrum
+
+        def spoiled_spectrum(gen):
+            return SimpleNamespace(eigenvalues=spoil(real(gen).eigenvalues))
+
+        monkeypatch.setattr(bethe, "dense_spectrum", spoiled_spectrum)
+    with pytest.raises(BetheError, match=message):
+        calibrate_energy_map(6)
 
 
 def test_json_roundtrip(gap6, tmp_path):

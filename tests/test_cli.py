@@ -6,7 +6,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from tasep2 import Sector, bethe, build_hamiltonian_tasep, cli, dense_spectrum
+from tasep2 import (Sector, bethe, build_hamiltonian_tasep, cli,
+                    dense_spectrum, scaling)
 
 
 def _schema(name):
@@ -268,16 +269,26 @@ def test_bethe_l36_curve(tmp_path):
 
 
 def test_scale_paper_range(tmp_path):
-    rc = run(["scale", "--from", "6", "--to", "33",
-              "--output-dir", str(tmp_path)])
-    assert rc == 0
-    report = json.loads((tmp_path / "scaling_report.json").read_text())
-    jsonschema.validate(report, _schema("scale.json"))
+    """The report holds results only: its omega 1 tableau is rebuilt from
+    its extrapolants, bit for bit, on the paper's range and on 6..327."""
+    for to in (327, 33):
+        out = tmp_path / str(to)
+        rc = run(["scale", "--from", "6", "--to", str(to),
+                  "--output-dir", str(out)])
+        assert rc == 0
+        report = json.loads((out / "scaling_report.json").read_text())
+        jsonschema.validate(report, _schema("scale.json"))
+        assert set(report) == {"z_estimate", "error", "truncated",
+                               "extrapolants"}
+        tab = scaling.bst_extrapolate(
+            sorted((int(l), v) for l, v in report["extrapolants"].items()),
+            1.0)
+        assert (-tab.limit, tab.error_estimate, tab.truncated) == (
+            report["z_estimate"], report["error"], report["truncated"])
     assert abs(report["z_estimate"] - 1.5) <= 1e-5
-    assert report["omega"] == 1.0
-    gaps = (tmp_path / "gap_series.csv").read_text().strip().splitlines()
+    gaps = (out / "gap_series.csv").read_text().strip().splitlines()
     assert gaps[0] == "L,gap_re" and len(gaps) == 12  # sizes 6..36
-    exts = (tmp_path / "extrapolants.csv").read_text().strip().splitlines()
+    exts = (out / "extrapolants.csv").read_text().strip().splitlines()
     assert exts[0] == "L,extrapolant" and len(exts) == 11
 
 
@@ -401,6 +412,19 @@ def test_config_file_defaults(tmp_path):
               "--nb", "2"])
     assert rc == 0
     assert (tmp_path / "diag_L6_na2_nb2.json").exists()
+
+
+def test_config_file_comments_and_malformed_lines(tmp_path, capsys):
+    """Blank lines and # comments are skipped; a line without `=` is a
+    config error (exit 4)."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# an L = 6 sector\n\nlength=6\n  # na next\nna=2\n"
+                   f"nb=2\noutput_dir={tmp_path}\n")
+    assert run(["--config", str(cfg), "diag"]) == 0
+    cfg.write_text("length 6\n")
+    assert run(["--config", str(cfg), "diag"]) == cli.EXIT_IO
+    assert "config line is not key=value: 'length 6'" in (
+        capsys.readouterr().err)
 
 
 def test_config_file_supplies_required_options(tmp_path):

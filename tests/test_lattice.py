@@ -27,6 +27,19 @@ def test_sector_validation_and_dimension():
     assert len(sector_packs(Sector(9, 3, 3))) == 1680
     with pytest.raises(ValueError):
         Sector(3, 2, 2)
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        Sector(0, 0, 0)
+
+
+def test_length_guards(tmp_path, capsys):
+    """A one-site ring has no bond, and a generator refuses a sector of
+    another length."""
+    rc = cli.main(["diag", "--length", "1", "--na", "0", "--nb", "0",
+                   "--output-dir", str(tmp_path)])
+    assert rc == cli.EXIT_DOMAIN
+    assert "need at least two sites" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="sector length mismatch"):
+        build_hamiltonian_tasep(6, Sector(5, 1, 1))
 
 
 def test_tasep_matches_bruteforce_all_small_sectors():

@@ -82,6 +82,12 @@ def test_bst_requires_two_entries_and_positive_omega():
         bst_extrapolate([(6, 1.0), (9, 0.5)], -1.0)
 
 
+def test_bst_requires_increasing_sizes():
+    for sizes in ((9, 6, 12), (6, 9, 9)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            bst_extrapolate([(l, 1.0 / l) for l in sizes], 1.0)
+
+
 def test_bst_truncates_at_a_zero_correction_denominator():
     """Values proportional to L make the first correction denominator
     exactly 0: the tableau stops at its first column, flags `truncated`,

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from tasep2 import (
     ConvergenceError,
@@ -206,6 +207,24 @@ def test_krylov_residual_contract_raises(monkeypatch):
     monkeypatch.setattr(spectra, "RESIDUAL_TOL", 1e-18)
     with pytest.raises(ConvergenceError):
         krylov_gap(gen, seed=0)
+
+
+def test_arpack_no_convergence_is_a_convergence_error(monkeypatch, tmp_path,
+                                                     capsys):
+    """ARPACK's own failure leaves `krylov_gap` as a `ConvergenceError`,
+    and `diag --krylov` as a numerical failure (exit 3)."""
+    def no_convergence(op, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                       np.zeros(0), np.zeros((op.shape[0], 0)))
+
+    monkeypatch.setattr(spectra.spla, "eigs", no_convergence)
+    gen = build_hamiltonian_tasep(6, Sector(6, 2, 2))
+    with pytest.raises(ConvergenceError, match="Arnoldi did not converge"):
+        krylov_gap(gen, seed=0)
+    rc = cli.main(["diag", "--length", "6", "--na", "2", "--nb", "2",
+                   "--krylov", "--output-dir", str(tmp_path)])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "Arnoldi did not converge" in capsys.readouterr().err
 
 
 def test_krylov_logs_each_arnoldi_block(caplog):
