@@ -3,10 +3,11 @@
 This module writes every report and reads the root sets of `--from-file`;
 the numerics modules return numbers and open no files.  Every summary is
 JSON; the text reports are rows of numbers written with `.17g`, which parses
-back to the same double.  `bethe` takes the root counts p and r from the
-lengths of --integers and --second-integers, which needs --integers.
-`scale` takes only the range --from..--to; `scaling.bst_extrapolate` of
-its report's extrapolants at omega = 1 rebuilds the tableau bit for bit.
+back to the same double.  `diag --spectrum` needs the dense solver.  `bethe`
+takes the root counts p and r from the lengths of --integers and
+--second-integers, which needs --integers.  `scale` takes only the range
+--from..--to; `scaling.bst_extrapolate` of its report's extrapolants at
+omega = 1 rebuilds the tableau bit for bit.
 
 Every command accepts --seed and --output-dir (default from
 TASEP2_OUTPUT_DIR), and refuses to overwrite existing files unless --force
@@ -14,7 +15,7 @@ is given.  `scale` and `bethe --length` without `--integers` are
 deterministic and accept --seed only because every subcommand does.  A config
 file of key=value lines can seed the defaults: each key is a long flag without
 its dashes (`from=9`, `output-dir` or `output_dir`), list values are separated
-by spaces (`integers=-1 0`), and a key that names no flag is a config error.
+by spaces (`integers=-1 0`); an unknown key or a bad value is a config error.
 Exit codes: 0 success, 2 domain error, 3 numerical failure, 4 I/O error.
 """
 
@@ -103,7 +104,8 @@ def _load_config(path, parsers):
     """Set the key=value lines of a config file as defaults of the parsers.
 
     A key is a long flag without its dashes, in any parser; a key that names
-    no flag, or a list value that does not convert, raises ValueError.
+    no flag, or a value that does not convert, raises ValueError; left as a
+    string, a bad value would fail later as an argparse usage error.
     """
     values = {}
     for line in Path(path).read_text().splitlines():
@@ -126,8 +128,9 @@ def _load_config(path, parsers):
             if action.nargs == 0:  # store_true
                 val = val.lower() == "true"
             elif action.nargs == "+":
-                # argparse would convert a list's string default whole
                 val = [action.type(v) for v in val.split()]
+            elif action.type is not None:
+                val = action.type(val)
             parser.set_defaults(**{action.dest: val})
             action.required = False
     unknown = sorted(set(values) - used)
@@ -148,6 +151,8 @@ def _outdir(args):
 
 
 def cmd_diag(args):
+    if args.krylov and args.spectrum:
+        raise ValueError("--spectrum needs the dense solver, not --krylov")
     sector = Sector(args.length, args.na, args.nb)
     if args.momentum is None:
         gen = build_hamiltonian_tasep(args.length, sector)
@@ -225,8 +230,6 @@ def cmd_scale(args):
     out = _outdir(args)
     _write_rows(out / "gap_series.csv", args.force, "L,gap_re\n",
                 report["series"])
-    _write_rows(out / "extrapolants.csv", args.force, "L,extrapolant\n",
-                report["extrapolants"])
     payload = {
         "z_estimate": report["z_estimate"],
         "error": report["error"],
@@ -256,7 +259,6 @@ def cmd_check(args):
             triples.append({"theta": _re_im(th), "residual": res})
         results["yang_baxter"] = {
             "max_residual": worst,
-            "n_triples": args.triples,
             "pass": worst <= 1e-12,
             "triples": triples,
         }
@@ -296,7 +298,7 @@ def build_parser():
     p.add_argument("--krylov", action="store_true",
                    help="Arnoldi (smallest real parts), not a dense solve")
     p.add_argument("--spectrum", action="store_true",
-                   help="also write the full eigenvalue list")
+                   help="also write the full eigenvalue list (dense only)")
     _add_common(p)
     p.set_defaults(func=cmd_diag)
 

@@ -66,7 +66,6 @@ class SectorGenerator:
     vals: np.ndarray
     packs: np.ndarray = field(repr=False)
     momentum: int | None = None  # k of a block made by momentum_blocks
-    cp_real: bool = False  # a block built as its real form U^H B U
 
     @property
     def dimension(self):
@@ -207,19 +206,20 @@ def momentum_blocks(length, packs, momenta):
     k = 0 and k = L/2 the phases are exactly +-1 and the block is real.
 
     Every other nonempty block of a CP-closed generator is built as its real
-    form R = U^H B U, with B the block above and U unitary, and marked
-    `cp_real`.  CP maps a sector onto itself (n_a = n_vac) or off it, so
-    the generator is CP-closed when the mirror CP a of every representative
-    is among its codes.  Representative a of period d stands for
-    |a> = d^(-1/2) sum_s w^s T^s a, w = exp(2 pi i k / L).  With b = rep(CP a)
-    and t the translations taking CP a onto b, both read from the orbit
-    table, Theta = CP conj maps |a> to w^t |b>; Theta is an antiunitary
-    involution commuting with B, so B is real on its fixed vectors:
-    (|a> + w^t |b>)/sqrt 2 at index a and i(|a> - w^t |b>)/sqrt 2 at index
-    b for a < b, and exp(i pi k t / L) |a> for a = b.  U has at most two
-    entries per row, so each unfolded entry of B gives at most four of R,
-    and R is folded once.  An imaginary part above roundoff raises; entries
-    of at most REAL_TOL times the largest are dropped.
+    form R = U^H B U, with B the block above and U unitary, and has float
+    values, which no other block with 2k mod L != 0 has.  CP maps a sector
+    onto itself (n_a = n_vac) or off it, so the generator is CP-closed when
+    the mirror CP a of every representative is among its codes.
+    Representative a of period d stands for |a> = d^(-1/2) sum_s w^s T^s a,
+    w = exp(2 pi i k / L).  With b = rep(CP a) and t the translations taking
+    CP a onto b, both read from the orbit table, Theta = CP conj maps |a> to
+    w^t |b>; Theta is an antiunitary involution commuting with B, so B is
+    real on its fixed vectors: (|a> + w^t |b>)/sqrt 2 at index a and
+    i(|a> - w^t |b>)/sqrt 2 at index b for a < b, and exp(i pi k t / L) |a>
+    for a = b.  U has at most two entries per row, so each unfolded entry
+    of B gives at most four of R, and R is folded once.  An imaginary part
+    above roundoff raises; entries of at most REAL_TOL times the largest
+    are dropped.
     """
     if any(not 0 <= k < length for k in momenta):
         raise ValueError("momentum out of range")
@@ -281,7 +281,7 @@ def momentum_blocks(length, packs, momenta):
                              f"|Im| up to {imag:.3e}")
         big = np.abs(data.real) > floor
         return SectorGenerator(length, row[big], col[big], data.real[big],
-                               rep_packs[keep], momentum=k, cp_real=True)
+                               rep_packs[keep], momentum=k)
 
     return (block(k) for k in momenta)
 

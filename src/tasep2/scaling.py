@@ -119,13 +119,13 @@ def bst_scan(values):
 def run_scaling_study(l_min, l_max):
     """Full pipeline: Bethe gap chain, local exponents, BST extrapolation.
 
-    `l_min`..`l_max` label the local exponents, so the gap chain extends to
+    `l_min` < `l_max` label the local exponents, so the gap chain extends to
     l_max + 3.  The tableau is at omega = 1: the local exponents approach
     -z with 1/L corrections.  Returns series (the (L, Re gap) pairs),
     extrapolants, tableau, z_estimate and error.
     """
-    if l_min % 3 or l_max % 3 or not 6 <= l_min <= l_max:
-        raise ValueError("need multiples of 3 with 6 <= l_min <= l_max")
+    if l_min % 3 or l_max % 3 or not 6 <= l_min < l_max:
+        raise ValueError("need multiples of 3 with 6 <= l_min < l_max")
     chain = bethe.solve_gap_chain(l_max + 3)
     series = [(l, bethe.energy_from_roots(chain[l]).real)
               for l in range(l_min, l_max + 4, 3)]

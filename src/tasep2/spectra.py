@@ -34,7 +34,7 @@ so the memory is the Krylov basis of NCV vectors and the L = 15 (5,5,5)
 k = 1 block (dim 50,450) is within reach.  A block of fewer than
 N_EIGS + 2 states is solved densely.  Each Arnoldi solve is logged at
 DEBUG on `tasep2.spectra` with the block's dim, nnz, whether it is a real
-form, the number of products with the block and the time.
+form (float values, 2k mod L != 0), its number of products and the time.
 """
 
 import logging
@@ -150,8 +150,9 @@ def _arnoldi(gen, v0):
         raise ConvergenceError(
             f"Arnoldi did not converge for dimension {n}: {exc}"
         ) from exc
+    real_form = mat.dtype.kind == "f" and 2 * gen.momentum % gen.length != 0
     logger.debug("Arnoldi block: dim %d, nnz %d, real form %s, "
-                 "%d products, %.3f s", n, mat.nnz, gen.cp_real, applied,
+                 "%d products, %.3f s", n, mat.nnz, real_form, applied,
                  time.perf_counter() - start)
     resid = (np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
              / np.linalg.norm(vecs, axis=0))

@@ -20,6 +20,9 @@ the same table are needed, and both are fixed by unambiguous anchors:
 The monodromy matrix is one sparse product of the L site vertices on the
 lattice's packed codes; no matrix here is dense.  tau(0) is checked against
 the lattice's one-site translation, whose permutation then inverts it.
+`hamiltonian_from_transfer` returns the generator itself, L/2 - (1/2)
+d(log tau)/dtheta at theta = 0, which `transfer_hamiltonian_check` compares
+with the lattice's.
 """
 
 import numpy as np
@@ -99,14 +102,15 @@ def transfer_trace(length, theta):
 
 
 def hamiltonian_from_transfer(length):
-    """d(log tau)/dtheta at theta = 0 as a sparse matrix (2 <= length <= 8).
+    """The generator recovered from the transfer matrix as a sparse matrix,
+    L/2 - (1/2) d(log tau)/dtheta at theta = 0 (2 <= length <= 8).
 
     The R-matrix entries are e^theta, 2 sinh theta and e^-theta, so tau is a
     Laurent polynomial of degree <= L in e^theta with real coefficients, and
     tau'(0) = 2 Re sum_{m=1..L} w_m tau(2 pi i m / N) exactly, with N = 2L + 1
     and w_m = (1/N) sum_{|n| <= L} n e^{-2 pi i m n / N}.  tau(0) must equal,
     entry for entry, the transpose of the lattice's one-site translation P,
-    so P is its inverse.
+    so P is its inverse and the generator is L/2 - Re(sum_m w_m tau_m) P.
     """
     if length < 2:
         raise ValueError("need at least two sites")
@@ -117,22 +121,14 @@ def hamiltonian_from_transfer(length):
         raise ValueError("tau(0) is not the one-site translation")
     n = np.arange(-length, length + 1)
     angles = 2.0 * np.pi * np.arange(1, length + 1) / len(n)
-    dtau = sum(np.mean(n * np.exp(-1j * a * n)) * transfer_trace(length, 1j * a)
-               for a in angles)
-    return 2.0 * dtau.real @ shift
+    half_dtau = sum(np.mean(n * np.exp(-1j * a * n))
+                    * transfer_trace(length, 1j * a) for a in angles)
+    return length / 2.0 * sp.identity(len(codes)) - half_dtau.real @ shift
 
 
 def transfer_hamiltonian_check(length):
-    """Compare d(log tau)/dtheta|_0 with the totally asymmetric generator.
-
-    With K the logarithmic derivative, (length * Id - K) / 2 equals the
-    generator entrywise: the derivative carries scale -2 and offset
-    length relative to the master-equation convention.  Returns the
-    max-norm discrepancy together with that affine convention.
-    """
-    K = hamiltonian_from_transfer(length)
+    """Max-norm discrepancy between the generator recovered from the
+    transfer matrix and the lattice's totally asymmetric generator."""
     H = build_hamiltonian_tasep(length).to_csr()
-    recovered = (length * sp.identity(3 ** length) - K) / 2.0
-    return {"length": length,
-            "discrepancy": float(abs(recovered - H).max()),
-            "scale": -0.5, "offset": length / 2.0}
+    return {"length": length, "discrepancy": float(
+        abs(hamiltonian_from_transfer(length) - H).max())}

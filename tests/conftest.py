@@ -1,8 +1,15 @@
-import numpy as np
-import pytest
-import scipy.linalg
+import os
 
-from tasep2 import (
+# one BLAS thread, as in the benchmark, set before numpy loads: on a busy
+# host a second OpenBLAS thread slows the Arnoldi solves down
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+import scipy.linalg  # noqa: E402
+
+from tasep2 import (  # noqa: E402
     Sector,
     build_hamiltonian_tasep,
     dense_spectrum,
@@ -63,3 +70,9 @@ def direct_eigs_l9():
 def closest(values, target):
     values = np.asarray(values)
     return values[np.argmin(np.abs(values - target))]
+
+
+def is_real_form(blk):
+    """Whether a momentum block was built as its CP real form: float values
+    where the phases are not +-1 (2k mod L != 0)."""
+    return blk.vals.dtype == np.float64 and 2 * blk.momentum % blk.length != 0

@@ -220,9 +220,9 @@ def _assert_rows(path, sep, header, values):
 
 
 def test_text_reports_hold_exact_doubles(tmp_path):
-    """The spectrum, curve, gap-series and extrapolant files hold the
-    doubles the library returned or the JSON report holds, byte for byte;
-    only the last two have a header."""
+    """The spectrum, curve and gap-series files hold the doubles the library
+    returned or the JSON report holds, byte for byte; only the last has a
+    header.  The extrapolants are in the scaling report alone."""
     assert run(["diag", "--length", "6", "--na", "2", "--nb", "2",
                 "--spectrum", "--output-dir", str(tmp_path)]) == 0
     evs = dense_spectrum(build_hamiltonian_tasep(6, Sector(6, 2, 2)))
@@ -242,9 +242,7 @@ def test_text_reports_hold_exact_doubles(tmp_path):
     _assert_rows(tmp_path / "gap_series.csv", ",", "L,gap_re",
                  [(l, bethe.energy_from_roots(chain[l]).real)
                   for l in range(6, 16, 3)])
-    report = json.loads((tmp_path / "scaling_report.json").read_text())
-    _assert_rows(tmp_path / "extrapolants.csv", ",", "L,extrapolant",
-                 [(int(l), e) for l, e in report["extrapolants"].items()])
+    assert not (tmp_path / "extrapolants.csv").exists()
 
 
 def test_overwrite_refused_without_force(tmp_path):
@@ -270,7 +268,8 @@ def test_bethe_l36_curve(tmp_path):
 
 def test_scale_paper_range(tmp_path):
     """The report holds results only: its omega 1 tableau is rebuilt from
-    its extrapolants, bit for bit, on the paper's range and on 6..327."""
+    its extrapolants, bit for bit, on the paper's range and on 6..327; the
+    gap series and the report are the only files written."""
     for to in (327, 33):
         out = tmp_path / str(to)
         rc = run(["scale", "--from", "6", "--to", str(to),
@@ -285,11 +284,12 @@ def test_scale_paper_range(tmp_path):
             1.0)
         assert (-tab.limit, tab.error_estimate, tab.truncated) == (
             report["z_estimate"], report["error"], report["truncated"])
+        assert sorted(p.name for p in out.iterdir()) == [
+            "gap_series.csv", "scaling_report.json"]
     assert abs(report["z_estimate"] - 1.5) <= 1e-5
+    assert len(report["extrapolants"]) == 10  # L = 6..33
     gaps = (out / "gap_series.csv").read_text().strip().splitlines()
     assert gaps[0] == "L,gap_re" and len(gaps) == 12  # sizes 6..36
-    exts = (out / "extrapolants.csv").read_text().strip().splitlines()
-    assert exts[0] == "L,extrapolant" and len(exts) == 11
 
 
 def test_scale_rejects_omega(tmp_path):
@@ -341,7 +341,7 @@ def test_check_yang_baxter(tmp_path):
     report = json.loads((tmp_path / "check_report.json").read_text())
     jsonschema.validate(report, _schema("check.json"))
     assert report["yang_baxter"]["max_residual"] <= 1e-12
-    assert report["yang_baxter"]["n_triples"] == 100
+    assert len(report["yang_baxter"]["triples"]) == 100
 
 
 @pytest.mark.parametrize("triples", ["0", "-3"])
@@ -376,9 +376,14 @@ def test_check_length_domain_error(tmp_path, capsys, argv, message):
     ["scale", "--from", "7", "--to", "33"],
     ["check", "--yang-baxter", "--triples", "0"],
     ["check"],
+    ["scale", "--from", "6", "--to", "6"],
+    ["diag", "--length", "6", "--na", "2", "--nb", "2", "--krylov",
+     "--spectrum"],
 ])
 def test_domain_error_creates_no_output_dir(tmp_path, argv):
-    """A run refused for its arguments leaves no output directory behind."""
+    """A run refused for its arguments leaves no output directory behind:
+    among them `diag --krylov --spectrum`, since Arnoldi returns N_EIGS
+    eigenvalues, not the full list `--spectrum` writes."""
     out = tmp_path / "out"
     assert run([*argv, "--output-dir", str(out)]) == cli.EXIT_DOMAIN
     assert not out.exists()
@@ -467,8 +472,8 @@ def test_config_file_force_flag(tmp_path):
 
 def test_config_keys_are_long_flags(tmp_path, capsys):
     """A config key is a long flag's name (`from`, whose dest is `frm`); a
-    key that names no flag of any subcommand, or a list value that does not
-    convert, is a config error."""
+    key that names no flag of any subcommand, or a list or scalar value that
+    does not convert, is a config error (exit 4, not argparse's 2)."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"from=9\nto=21\noutput-dir={tmp_path}\n")
     assert run(["--config", str(cfg), "scale"]) == 0
@@ -480,6 +485,10 @@ def test_config_keys_are_long_flags(tmp_path, capsys):
     assert not (tmp_path / "frm").exists()
     cfg.write_text("integers=-1 x\n")
     assert run(["--config", str(cfg), "bethe", "--length", "6"]) == cli.EXIT_IO
+    cfg.write_text(f"seed=abc\noutput_dir={tmp_path / 'seed'}\n")
+    assert run(["--config", str(cfg), "scale"]) == cli.EXIT_IO
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "seed").exists()
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):

@@ -16,6 +16,7 @@ from tasep2 import (
 from tasep2.lattice import momentum_blocks, orbit_table, sector_packs
 
 import oracles
+from conftest import is_real_form
 
 
 def test_sector_validation_and_dimension():
@@ -126,7 +127,7 @@ def test_momentum_blocks_partition_dimension():
     for k in range(6):
         blk = project_momentum(sector, k)
         assert not np.iscomplexobj(blk.vals), k
-        assert blk.cp_real == (k not in (0, 3)), k
+        assert is_real_form(blk) == (k not in (0, 3)), k
         assert blk.momentum == k
 
 
@@ -142,7 +143,7 @@ def test_momentum_fold_matches_coo_oracle():
             gen = build_hamiltonian_tasep(length, sector)
             for k, blk in enumerate(momentum_blocks(length, gen.packs,
                                                     range(length))):
-                if blk.cp_real:
+                if is_real_form(blk):
                     continue
                 want = oracles.momentum_block_coo(gen, k)
                 for got, ref in zip((blk.rows, blk.cols, blk.vals), want):
@@ -206,9 +207,9 @@ def test_real_form_is_real_with_the_block_spectrum():
                                                     momenta)):
             assert real.momentum == k
             if real.dimension == 0:
-                assert not real.cp_real
+                assert not is_real_form(real)
                 continue
-            assert real.vals.dtype == np.float64 and real.cp_real
+            assert is_real_form(real)
             want = _complex_block_eigvals(gen, real)
             got = scipy.linalg.eigvals(real.to_dense())
             assert oracles.multiset_distance(got, want) <= 1e-12, (gen, k)
@@ -229,7 +230,7 @@ def test_real_form_keeps_no_roundoff_entry():
             gen = build_hamiltonian_tasep(length, sector)
             momenta = [k for k in range(length // 2 + 1) if 2 * k % length]
             for real in momentum_blocks(length, gen.packs, momenta):
-                if not real.cp_real:
+                if not is_real_form(real):
                     continue
                 size = np.abs(real.vals)
                 assert size.min() > lattice.REAL_TOL * size.max(), (
@@ -247,12 +248,12 @@ def test_real_form_only_where_cp_maps_the_block_onto_itself():
     itself, and never for (10,3,3) (CP maps it onto (10,4,3)) or for an
     empty block ((3,0,3) k = 1); a momentum outside 0..L-1 raises."""
     packs = sector_packs(Sector(6, 2, 2))
-    assert [b.cp_real for b in momentum_blocks(6, packs, range(6))] == [
+    assert [is_real_form(b) for b in momentum_blocks(6, packs, range(6))] == [
         False, True, True, False, True, True]
     odd = sector_packs(Sector(10, 3, 3))
-    assert not any(b.cp_real for b in momentum_blocks(10, odd, range(10)))
+    assert not any(map(is_real_form, momentum_blocks(10, odd, range(10))))
     empty = project_momentum(Sector(3, 0, 3), 1)
-    assert (empty.dimension, empty.cp_real) == (0, False)
+    assert (empty.dimension, is_real_form(empty)) == (0, False)
     with pytest.raises(ValueError):
         momentum_blocks(6, packs, [6])
 

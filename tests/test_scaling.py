@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tasep2 import (
+    bethe,
     bst_extrapolate,
     bst_scan,
     cli,
@@ -156,9 +157,17 @@ def test_run_scaling_study_coarse():
     assert abs(report15["z_estimate"] - 1.5) <= 0.05
 
 
-def test_run_scaling_study_rejects_bad_ranges():
-    with pytest.raises(ValueError):
-        run_scaling_study(7, 33)
+def test_run_scaling_study_rejects_bad_ranges(monkeypatch):
+    """A range off the multiples of 3, below 6, or with fewer than two
+    local exponents (l_min >= l_max) is refused before any solve."""
+    def no_solve(*args):
+        raise AssertionError("the gap chain was solved")
+
+    monkeypatch.setattr(bethe, "solve_gap_chain", no_solve)
+    for l_min, l_max in ((7, 33), (6, 32), (3, 33), (6, 6), (33, 33),
+                         (12, 6)):
+        with pytest.raises(ValueError, match="6 <= l_min < l_max"):
+            run_scaling_study(l_min, l_max)
 
 
 def test_gap_series_csv(gap_chain_36, tmp_path):
