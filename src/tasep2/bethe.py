@@ -40,9 +40,9 @@ cubic j = 0.  Every size is independent: one vectorized Newton in ln beta,
 one beta per size, solves the sizes of a chain in blocks of consecutive
 sizes with at most GAP_BLOCK_ROOTS roots, from beta = 4/27 (its large-L
 limit, where cubic j = 0 reaches its branch point), so the batch's working
-set does not grow with the chain; `continue_in_L` solves its one size from
-the same seed.  The branch integers come from the principal logarithms of
-the cubic roots, and one fixed-integer `_newton` polish per size brings the
+set does not grow with the chain; `continue_in_L` solves L and L + 3 the
+same way.  The branch integers come from the principal logarithms of the
+cubic roots, and one fixed-integer `_newton` polish per size brings the
 nested residual to SOLVER_TOL.  A gap state must have Re gap > 0, and each
 size of a chain a local gap exponent in (-1.9, -1.3) against the size
 before it.
@@ -230,23 +230,25 @@ def _newton(Z0, Y0, length, K=None):
 
     The branch integers K = (I, J) stay fixed; with K = None they are taken
     from the principal logarithms at the start point (see `_log_residual`).
-    A line search that cannot lower the residual ends the solve.
 
-    Converged means a max-norm residual <= SOLVER_TOL.  A failed line search
-    also ends the solve, as converged, when the residual is already below
-    the roundoff floor of the log sums (`_roundoff_floor`).  A converged solve
-    logs L, p, its Newton steps, their line-search halvings and the final
-    residual at DEBUG.  Returns (Z, Y, K, residual_norm) or raises a
-    `BetheError`.
+    Newton steps run while the max-norm residual is above SOLVER_TOL, at
+    most 200 of them, each halved up to 9 times until the residual falls.
+    A line search that cannot lower the residual ends the solve: as
+    converged when the residual is already below the roundoff floor of the
+    log sums (`_roundoff_floor`), else with a `NewtonDivergenceError`.  A
+    converged solve logs L, p, its Newton steps, their line-search halvings
+    and the final residual at DEBUG.  Returns (Z, Y, K, residual_norm) or
+    raises a `BetheError`.
     """
     Z, Y = np.array(Z0, dtype=complex), np.array(Y0, dtype=complex)
     p = len(Z)
     F, K = _log_residual(Z, Y, length, K)
     nrm = float(np.abs(F).max())
     steps = halvings = 0
-    for _ in range(200):
-        if nrm <= SOLVER_TOL:
-            break
+    while nrm > SOLVER_TOL:
+        if steps == 200:
+            raise NewtonDivergenceError(
+                f"iteration budget exhausted at residual {nrm:.3e}")
         try:
             step = np.linalg.solve(_jacobian(Z, Y, length), -F)
         except np.linalg.LinAlgError as exc:
@@ -272,10 +274,6 @@ def _newton(Z0, Y0, length, K=None):
                 break
             raise NewtonDivergenceError(
                 f"line search stalled at residual {nrm:.3e}")
-    else:
-        if nrm > SOLVER_TOL:
-            raise NewtonDivergenceError(
-                f"iteration budget exhausted at residual {nrm:.3e}")
     logger.debug("L=%s, p=%d: Newton solve in %d steps, %d halvings, "
                  "residual %.3e", length, p, steps, halvings, nrm)
     return Z, Y, K, nrm
@@ -286,9 +284,9 @@ def _multistart_seeds(p, r, seed):
     seeds = []
     for rad in MULTISTART_RADII:
         for m in range(6):
-            args = 2.0 * np.pi * (np.arange(p) + 0.3 * m + 0.15) / max(p, 1)
+            args = 2.0 * np.pi * (np.arange(p) + 0.3 * m + 0.15) / p
             Z0 = rad * np.exp(1j * args) * (1.0 + 0.05 * rng.standard_normal(p))
-            Y0 = (2.5 * rad * np.exp(2j * np.pi * (np.arange(r) + 0.4) / max(r, 1))
+            Y0 = (2.5 * rad * np.exp(2j * np.pi * (np.arange(r) + 0.4) / r)
                   * (1.0 + 0.05 * rng.standard_normal(r)) if r else
                   np.zeros(0, complex))
             seeds.append((Z0, Y0))
@@ -308,18 +306,17 @@ def solve_bethe(length, *, branch_integers, second_integers=None,
     p, r, K = len(I), len(J), np.concatenate((I, J))
     if p < 1:
         raise ValueError("need at least one first-level root")
-    attempts = []
     if seed_roots is not None:
         if (seed_roots.p, seed_roots.r) != (p, r):
             raise ValueError(
                 f"seed roots have (p, r) = ({seed_roots.p}, {seed_roots.r}),"
                 f" the integers ask for ({p}, {r})")
-        attempts.append((seed_roots.big_z, seed_roots.big_y))
+        attempts = [(seed_roots.big_z, seed_roots.big_y)]
     else:
         if length > 9 and p > 3:
             raise ValueError("multistart bootstrap is limited to small systems;"
                              " provide seed_roots")
-        attempts.extend(_multistart_seeds(p, r, seed))
+        attempts = _multistart_seeds(p, r, seed)
     last_exc = None
     for Z0, Y0 in attempts:
         try:
@@ -507,21 +504,18 @@ def _gap_blocks(lengths):
         yield from zip(block, *_solve_gap_s(block))
 
 
-def _gap_chain(lengths, before):
+def _gap_chain(lengths):
     """Gap-state root sets at the increasing `lengths` from the scalar seed
     GAP_BETA_SEED: cubic roots from `_gap_blocks`, then for each size in turn
     branch integers from their principal logarithms and one fixed-integer
     `_newton` polish of the nested system.
 
-    Each state must have Re gap > 0 and a local gap exponent in
-    (-1.9, -1.3) against the size before it: the previous size, or for the
-    first the root set `before` unless that is None.  A failing size raises
-    its `BetheError` with the root sets of the smaller sizes attached as
-    `exc.chain`, and no later block is solved.
+    Each state must have Re gap > 0 and, from the second size on, a local
+    gap exponent in (-1.9, -1.3) against the size before it.  A failing
+    size raises its `BetheError` with the root sets of the smaller sizes
+    attached as `exc.chain`, and no later block is solved.
     """
-    chain = {}
-    prev = (None if before is None
-            else (before.length, energy_from_roots(before).real))
+    chain, prev = {}, None
     try:
         for length, s, step in _gap_blocks(lengths):
             if not step <= 1e-12:
@@ -549,14 +543,14 @@ def _gap_chain(lengths, before):
 
 
 def continue_in_L(roots):
-    """One step L -> L+3 along the gap branch (p -> p+1).
-
-    Solves L+3 from beta = 4/27 like every other size, so the result is
-    `solve_gap_state(L + 3)` bit for bit, and verifies the continued state
-    by its local gap exponent against the given root set.
+    """One step L -> L+3 along the gap branch (p -> p+1), read from the
+    length L of `roots` alone: `_gap_chain` solves L and L+3, so the result
+    is `solve_gap_state(L + 3)` bit for bit, its local gap exponent checked
+    against the gap state of L.  Public only for the `bethe.step` span of
+    the benchmark's tracer.
     """
-    length = roots.length + 3
-    return _gap_chain([length], roots)[length]
+    length = roots.length
+    return _gap_chain([length, length + 3])[length + 3]
 
 
 def solve_gap_chain(max_length):
@@ -568,7 +562,7 @@ def solve_gap_chain(max_length):
     """
     if max_length < 6 or max_length % 3:
         raise ValueError("max_length must be a multiple of 3, at least 6")
-    return _gap_chain(range(6, max_length + 1, 3), None)
+    return _gap_chain(range(6, max_length + 1, 3))
 
 
 def solve_gap_state(length):
@@ -576,4 +570,4 @@ def solve_gap_state(length):
     solved directly from the branch-point seed beta = 4/27."""
     if length < 6 or length % 3:
         raise ValueError("length must be a multiple of 3, at least 6")
-    return _gap_chain([length], None)[length]
+    return _gap_chain([length])[length]

@@ -15,7 +15,8 @@ is given.  `scale` and `bethe --length` without `--integers` are
 deterministic and accept --seed only because every subcommand does.  A config
 file of key=value lines can seed the defaults: each key is a long flag without
 its dashes (`from=9`, `output-dir` or `output_dir`), list values are separated
-by spaces (`integers=-1 0`); an unknown key or a bad value is a config error.
+by spaces (`integers=-1 0`), a flag is `true` or `false` in any case, and an
+unknown key or a bad value is a config error.
 Exit codes: 0 success, 2 domain error, 3 numerical failure, 4 I/O error.
 """
 
@@ -103,9 +104,10 @@ def _read_roots(path):
 def _load_config(path, parsers):
     """Set the key=value lines of a config file as defaults of the parsers.
 
-    A key is a long flag without its dashes, in any parser; a key that names
-    no flag, or a value that does not convert, raises ValueError; left as a
-    string, a bad value would fail later as an argparse usage error.
+    A key is a long flag without its dashes, in any parser, and a flag that
+    takes no value is set by `true` or `false` in any case.  A key that
+    names no flag, or a value that does not convert, raises ValueError; left
+    as a string, a bad value would fail later as an argparse usage error.
     """
     values = {}
     for line in Path(path).read_text().splitlines():
@@ -126,6 +128,8 @@ def _load_config(path, parsers):
             used.add(flag)
             val = values[flag]
             if action.nargs == 0:  # store_true
+                if val.lower() not in ("true", "false"):
+                    raise ValueError(f"{flag} is true or false, not {val!r}")
                 val = val.lower() == "true"
             elif action.nargs == "+":
                 val = [action.type(v) for v in val.split()]

@@ -708,6 +708,34 @@ def test_continue_requires_step_three(gap6):
     assert roots.residual_norm == direct.residual_norm
 
 
+def test_continue_from_each_size_is_the_direct_solve():
+    """From the gap state of every L = 6..33, one step is the direct solve
+    of L + 3 bit for bit: roots, branch integers and residual."""
+    for length in range(6, 34, 3):
+        roots = continue_in_L(solve_gap_state(length))
+        direct = solve_gap_state(length + 3)
+        np.testing.assert_array_equal(roots.big_z, direct.big_z)
+        np.testing.assert_array_equal(roots.branch_integers,
+                                      direct.branch_integers)
+        assert roots.residual_norm == direct.residual_norm, length
+
+
+def test_continue_refuses_a_state_off_the_gap_branch(monkeypatch):
+    """A continued state whose local exponent against the gap state of L
+    leaves (-1.9, -1.3) raises, as it does in a chain."""
+    gap9 = solve_gap_state(9)
+    real = bethe.energy_from_roots
+
+    def scaled(roots):
+        e = real(roots)
+        return 10.0 * e if roots.length == 12 else e
+
+    monkeypatch.setattr(bethe, "energy_from_roots", scaled)
+    with pytest.raises(NewtonDivergenceError,
+                       match=r"L=12: continued state off the gap branch"):
+        continue_in_L(gap9)
+
+
 def test_first_level_states_exhaust_no_vacancy_sector():
     """Every eigenvalue of the L=6 sector (n_A, n_B) = (4, 2) — the weight
     space hosting p=2, r=0 states — is reproduced by some Bethe solution

@@ -362,10 +362,11 @@ def test_check_without_triples_is_domain_error(tmp_path, capsys, triples):
     (["--yang-baxter", "--length", "5", "--triples", "1"],
      "--length needs --transfer-hamiltonian or --all"),
     (["--transfer-hamiltonian", "--length", "0"], "need at least two sites"),
+    (["--transfer-hamiltonian", "--length", "9"], "1 <= L <= 8"),
 ])
 def test_check_length_domain_error(tmp_path, capsys, argv, message):
-    """A --length that no check uses, or one below two sites, exits 2 and
-    writes no report."""
+    """A --length that no check uses, one below two sites, or one above the
+    eight sites of the 3^L transfer matrix exits 2 and writes no report."""
     rc = run(["check", *argv, "--output-dir", str(tmp_path)])
     assert rc == cli.EXIT_DOMAIN
     assert message in capsys.readouterr().err
@@ -458,16 +459,23 @@ def test_config_file_list_values(tmp_path):
     assert got["I"] == [0, -1]
 
 
-def test_config_file_force_flag(tmp_path):
+def test_config_file_force_flag(tmp_path, capsys):
     """A store_true flag in a config file is on for `true` and off for
-    `false`: a repeated `diag` overwrites its report, or refuses to."""
+    `false`, in any case: a repeated `diag` overwrites its report, or refuses
+    to.  Any other value, such as `yes`, is a config error (exit 4) and
+    writes no report."""
     cfg = tmp_path / "run.cfg"
-    for force, rc in (("true", 0), ("false", cli.EXIT_IO)):
+    args = ["--config", str(cfg), "diag", "--length", "4", "--na", "1",
+            "--nb", "1"]
+    for force, rc in (("true", 0), ("false", cli.EXIT_IO), ("TRUE", 0)):
         cfg.write_text(f"force={force}\noutput_dir={tmp_path / force}\n")
-        args = ["--config", str(cfg), "diag", "--length", "4", "--na", "1",
-                "--nb", "1"]
         assert run(args) == 0
         assert run(args) == rc, force
+    capsys.readouterr()
+    cfg.write_text(f"force=yes\noutput_dir={tmp_path / 'yes'}\n")
+    assert run(args) == cli.EXIT_IO
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "yes" / "diag_L4_na1_nb1.json").exists()
 
 
 def test_config_keys_are_long_flags(tmp_path, capsys):
