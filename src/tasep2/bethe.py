@@ -47,7 +47,9 @@ nested residual to SOLVER_TOL.  A gap state must have Re gap > 0, and each
 size of a chain a local gap exponent in (-1.9, -1.3) against the size
 before it.
 
-The residual is O(p log p) and the Jacobian O(p^2).  With principal logs,
+The residual is O(p log p).  A Newton step is O(p) for r = 0, where the
+Jacobian is a diagonal plus a rank-one term (Sherman-Morrison), and an LU
+solve of the dense (p + r)^2 Jacobian for r > 0.  With principal logs,
 theta = Arg X in (-pi, pi],
 
     sum_{l != k} Ln(X_k/X_l) = p Ln X_k - sum_l Ln X_l - 2 pi i (n+_k - n-_k),
@@ -216,6 +218,28 @@ def _jacobian(Z, Y, length):
     return Jm
 
 
+def _newton_step(Z, Y, length, F):
+    """The Newton step -J^-1 F.  For r = 0, J = diag(d) + 1 (1/Z)^T with
+    d = -L/(Z (Z - 1)) - p/Z, solved by Sherman-Morrison in O(p); a zero
+    entry of d, or a denominator 1 + (1/Z) . d^-1 that is zero or not
+    finite, is a singular Jacobian.  For r > 0, LU on `_jacobian`."""
+    if len(Y):
+        try:
+            return np.linalg.solve(_jacobian(Z, Y, length), -F)
+        except np.linalg.LinAlgError as exc:
+            raise NewtonDivergenceError(f"singular Jacobian: {exc}") from exc
+    with np.errstate(all="ignore"):  # the guard below reports a singularity
+        inv_z = 1.0 / Z
+        d = -length / (Z * (Z - 1.0)) - len(Z) * inv_z
+        w = 1.0 / d
+        denom = 1.0 + inv_z @ w
+        if not d.all() or denom == 0 or not np.isfinite(denom):
+            raise NewtonDivergenceError("singular Jacobian: a zero of d or "
+                                        f"a denominator {denom}")
+        step = -F / d
+        return step - w * ((inv_z @ step) / denom)
+
+
 def bethe_residual(roots):
     """Log-form residual vector (p + r entries) at the stored roots."""
     K = np.concatenate((roots.branch_integers, roots.second_integers))
@@ -231,14 +255,15 @@ def _newton(Z0, Y0, length, K=None):
     The branch integers K = (I, J) stay fixed; with K = None they are taken
     from the principal logarithms at the start point (see `_log_residual`).
 
-    Newton steps run while the max-norm residual is above SOLVER_TOL, at
-    most 200 of them, each halved up to 9 times until the residual falls.
-    A line search that cannot lower the residual ends the solve: as
-    converged when the residual is already below the roundoff floor of the
-    log sums (`_roundoff_floor`), else with a `NewtonDivergenceError`.  A
-    converged solve logs L, p, its Newton steps, their line-search halvings
-    and the final residual at DEBUG.  Returns (Z, Y, K, residual_norm) or
-    raises a `BetheError`.
+    Newton steps (`_newton_step`: O(p) for r = 0, LU for r > 0) run while
+    the max-norm residual is above SOLVER_TOL, at most 200 of them, each
+    halved up to 9 times until the residual falls.  A singular Jacobian
+    raises `NewtonDivergenceError`.  A line search that cannot lower the
+    residual ends the solve: as converged when the residual is already
+    below the roundoff floor of the log sums (`_roundoff_floor`), else with
+    a `NewtonDivergenceError`.  A converged solve logs L, p, its Newton
+    steps, their line-search halvings and the final residual at DEBUG.
+    Returns (Z, Y, K, residual_norm) or raises a `BetheError`.
     """
     Z, Y = np.array(Z0, dtype=complex), np.array(Y0, dtype=complex)
     p = len(Z)
@@ -249,10 +274,7 @@ def _newton(Z0, Y0, length, K=None):
         if steps == 200:
             raise NewtonDivergenceError(
                 f"iteration budget exhausted at residual {nrm:.3e}")
-        try:
-            step = np.linalg.solve(_jacobian(Z, Y, length), -F)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergenceError(f"singular Jacobian: {exc}") from exc
+        step = _newton_step(Z, Y, length, F)
         for t in range(10):
             lam = 0.5 ** t
             Zn, Yn = Z + lam * step[:p], Y + lam * step[p:]

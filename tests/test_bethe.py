@@ -35,6 +35,7 @@ from tasep2.bethe import (
     _jacobian,
     _log_residual,
     _newton,
+    _newton_step,
     _roundoff_floor,
     solve_gap_chain,
 )
@@ -391,6 +392,53 @@ def test_jacobian_matches_central_difference(p, r):
                          - _log_residual(down[:p], down[p:], 7, K)[0]) / 2 / h
     analytic = _jacobian(Z, Y, 7)
     assert np.max(np.abs(analytic - numeric)) <= 1e-7 * np.max(np.abs(analytic))
+
+
+def _assert_r0_step_is_dense_solve(Z, length, F):
+    """The O(p) Sherman-Morrison step is the LU solve of the dense
+    Jacobian, to 1e-12 relative."""
+    dense = np.linalg.solve(_jacobian(Z, Z[:0], length), -F)
+    step = _newton_step(Z, Z[:0], length, F)
+    assert np.max(np.abs(step - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("length", [30, 150, 330])
+def test_r0_step_matches_dense_solve_at_gap_roots(gap_chain_360, length):
+    roots = gap_chain_360[length]
+    _assert_r0_step_is_dense_solve(roots.big_z, length, bethe_residual(roots))
+
+
+def test_r0_step_matches_dense_solve_at_multistart_start():
+    Z, Y = bethe._multistart_seeds(2, 0, seed=0)[0]
+    F = _log_residual(Z, Y, 6, np.array([-1, 0]))[0]
+    _assert_r0_step_is_dense_solve(Z, 6, F)
+
+
+@pytest.mark.parametrize("Z0", [(-2.0, 0.5j), (-6.0, 2.0)],
+                         ids=["zero-d", "zero-denominator"])
+def test_r0_step_refuses_a_singular_jacobian(Z0):
+    """At L = 6, p = 2 the r = 0 Jacobian diag(d) + 1 (1/Z)^T is singular
+    where d = -L/(Z (Z - 1)) - p/Z vanishes (Z = 1 - L/p = -2), and where
+    the Sherman-Morrison denominator 1 - sum_k (Z_k - 1)/(L + p (Z_k - 1))
+    does (1 - 7/8 - 1/8 at Z = (-6, 2), exact in floating point).  Both
+    raise `NewtonDivergenceError` and warn nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NewtonDivergenceError, match="singular Jacobian"):
+            _newton(np.array(Z0, complex), np.zeros(0, complex), 6,
+                    np.array([-1, 0]))
+
+
+def test_r0_solves_build_no_dense_jacobian(monkeypatch):
+    """Every r = 0 solve, the gap chain and the calibration multistart,
+    takes the O(p) step."""
+    def refuse(*args):
+        raise AssertionError("dense Jacobian built for an r = 0 system")
+
+    monkeypatch.setattr(bethe, "_jacobian", refuse)
+    assert sorted(solve_gap_chain(99)) == list(range(6, 100, 3))
+    m = calibrate_energy_map(6)
+    assert (m.sign, m.scale, m.offset) == (-1, 0.5, 0.0)
 
 
 def test_gap_chain_360(gap_chain_360):
