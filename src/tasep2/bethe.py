@@ -41,9 +41,14 @@ one beta per size, solves the sizes of a chain in blocks of consecutive
 sizes with at most GAP_BLOCK_ROOTS roots, from beta = 4/27 (its large-L
 limit, where cubic j = 0 reaches its branch point), so the batch's working
 set does not grow with the chain; `continue_in_L` solves L and L + 3 the
-same way.  The branch integers come from the principal logarithms of the
-cubic roots, and one fixed-integer `_newton` polish per size brings the
-nested residual to SOLVER_TOL.  A gap state must have Re gap > 0, and each
+same way.  The double iteration stops at |du| <= 1e-7, and one step in
+extended precision ends it: two cubic Newton steps, one ln beta step and a
+last cubic step.  The roots keep Z = s/(s - 1) in extended precision, so
+the energy sums them at that precision.  No `_newton` runs: one residual
+call per block gives each size its branch integers (from the principal
+logarithms) and its residual, which must be below the roundoff floor
+eps * (L + p) * max(max|ln s|, 2 max|ln|Z|| + pi) of its log sums (O(p));
+to L = 1,203 it is at most 4e-16.  A gap state must have Re gap > 0, and each
 size of a chain a local gap exponent in (-1.9, -1.3) against the size
 before it.
 
@@ -57,11 +62,9 @@ theta = Arg X in (-pi, pi],
 n+_k and n-_k counting the l with theta_k - theta_l > pi and <= -pi (one
 `searchsorted` on the sorted angles).  Rows add terms up to ~L before they
 cancel, so the logs and row sums are carried in extended precision where the
-platform has it.  A solve converges at a max-norm residual <= SOLVER_TOL =
-1e-13.  The one fallback: when the line search cannot lower the residual but
-it is already below the roundoff floor eps * (L + p + r) * max|log term|, the
-roots are accepted, the residual reached is stored in `residual_norm`, and
-the acceptance is logged at DEBUG.
+platform has it.  A Newton solve converges at a max-norm residual <=
+SOLVER_TOL = 1e-13, and a line search that cannot lower the residual fails
+it.
 
 The one pole rule: a root on a pole (Z = 0, Z = 1, Y = 0 or Y_j = Z_k) makes
 a residual row infinite or NaN, and the residual raises `SingularRootError`.
@@ -69,11 +72,11 @@ Coinciding roots leave it finite; `solve_bethe` rejects them after a solve.
 
 The generator eigenvalue of any root set is E_gen = p - sum_k Z_k/(Z_k - 1)
 = -sum_k 1/(Z_k - 1) (`energy_from_roots`), summed in the second form, which
-has no p to cancel, in extended precision; at the gap state it is
-p - sum_k s_k.  In the paper's variables E_raw = L + sum_k 2 Z_k/(Z_k - 1),
-it is E_gen = -e/2 with e = E_raw - L - 2p.  `calibrate_energy_map`
-re-derives that map, (sign, scale, offset) = (-1, 1/2, 0), from exact
-spectra at L = 6 and 9.
+has no p to cancel, in extended precision and returned at that precision; at
+the gap state it is p - sum_k s_k.  In the paper's variables
+E_raw = L + sum_k 2 Z_k/(Z_k - 1), it is E_gen = -e/2 with e = E_raw - L - 2p.
+`calibrate_energy_map` re-derives that map, (sign, scale, offset) =
+(-1, 1/2, 0), from exact spectra at L = 6 and 9.
 """
 
 import itertools
@@ -112,7 +115,7 @@ class NewtonDivergenceError(BetheError):
 @dataclass
 class BetheRootSet:
     """A solved root set, Z and Y as the solver returned them (sorted by
-    Arg Z)."""
+    Arg Z); the gap state's Z are extended precision (`_EXT`)."""
 
     length: int
     big_z: np.ndarray
@@ -145,16 +148,26 @@ _PI_EXT = 4 * np.arctan(np.longdouble(1))
 _MINUS_PLUS_PI = np.array([[-_PI_EXT], [_PI_EXT]])
 
 
-def _log_ratio_row_sums(X):
+def _log_ratio_row_sums(X, sizes):
     """sum_{l != k} Ln(X_k / X_l) for every k in extended precision, by the
     sorted-angle identity of the module docstring; the angles are those of
-    the extended-precision logs, so wrap counts and logs agree."""
-    p = len(X)
+    the extended-precision logs, so wrap counts and logs agree.  With
+    `sizes` not None, X holds sizes[i] consecutive roots of the i-th of
+    several systems and l runs over the system of k: the angles are sorted
+    as complex keys (system, angle), so each system counts only its own."""
     log_x = np.log(X.astype(_EXT))
-    theta = log_x.imag
-    at = np.searchsorted(np.sort(theta), theta + _MINUS_PLUS_PI)  # n+, p - n-
-    sums = p * log_x - log_x.sum()
-    sums.imag -= 2 * _PI_EXT * (at[0] + at[1] - p)
+    key, shift = log_x.imag, _MINUS_PLUS_PI
+    if sizes is None:
+        p, first, total = len(X), 0, log_x.sum()
+    else:
+        own = np.repeat(np.arange(len(sizes)), sizes)
+        starts = np.cumsum(sizes) - sizes
+        p, first = sizes[own], starts[own]
+        total = np.add.reduceat(log_x, starts)[own]
+        key, shift = own + 1j * key, 1j * shift
+    at = np.searchsorted(np.sort(key), key + shift)  # n+, p - n-
+    sums = p * log_x - total
+    sums.imag -= 2 * _PI_EXT * (at[0] + at[1] - 2 * first - p)
     return sums
 
 
@@ -167,16 +180,26 @@ def _log_residual(Z, Y, length, K=None):
     ln(Y_j / (Y_j - Z_k)) are summed in extended precision.  A row that is
     not finite raises `SingularRootError`, before any re-sync.
     """
+    return _log_residuals(Z, Y, length, None, K)
+
+
+def _log_residuals(Z, Y, length, sizes, K):
+    """`_log_residual`; with `sizes` not None (and no Y), that of several
+    r = 0 systems at once: Z holds sizes[i] roots of length[i] for the
+    i-th, one system after another, and each row is that of its own."""
     p, r = len(Z), len(Y)
+    half_turns = p - 1  # the -i pi (p - 1) of a first-level row
+    if sizes is not None:
+        length = np.repeat(length, sizes)
+        half_turns = np.repeat(sizes - 1, sizes)
     with np.errstate(divide="ignore", invalid="ignore"):
         Ze = Z.astype(_EXT)
-        F = length * np.log(Ze / (Ze - 1)) - _log_ratio_row_sums(Z)
-        half_turns = p - 1  # the -i pi (p - 1) of a first-level row
+        F = length * np.log(Ze / (Ze - 1)) - _log_ratio_row_sums(Z, sizes)
         if r:
             W = np.log(Y / (Y - Z[:, None]))  # W[k, j] = ln(Y_j/(Y_j - Z_k))
             F -= W.sum(axis=1, dtype=_EXT)
             F = np.concatenate((F, W.sum(axis=0, dtype=_EXT)
-                                - _log_ratio_row_sums(Y)))
+                                - _log_ratio_row_sums(Y, None)))
             half_turns = np.repeat((p - 1, r - 1), (p, r))
     bad = np.flatnonzero(~np.isfinite(F))
     if len(bad):
@@ -187,17 +210,6 @@ def _log_residual(Z, Y, length, K=None):
         K = np.rint((F.imag / _PI_EXT - half_turns) / 2).astype(int)
     F.imag -= _PI_EXT * (half_turns + 2 * K)
     return F.astype(complex), K
-
-
-def _roundoff_floor(Z, Y, length):
-    """Smallest residual the log sums can resolve at these roots:
-    eps * (L + p + r) * the largest single log term."""
-    terms = [np.abs(np.log(Z / (Z - 1.0))), np.abs(np.log(Z[:, None] / Z))]
-    if len(Y):
-        terms += [np.abs(np.log(Y / (Y - Z[:, None]))),
-                  np.abs(np.log(Y[:, None] / Y))]
-    biggest = max(float(t.max()) for t in terms)
-    return np.finfo(float).eps * (length + len(Z) + len(Y)) * biggest
 
 
 def _jacobian(Z, Y, length):
@@ -257,11 +269,9 @@ def _newton(Z0, Y0, length, K=None):
 
     Newton steps (`_newton_step`: O(p) for r = 0, LU for r > 0) run while
     the max-norm residual is above SOLVER_TOL, at most 200 of them, each
-    halved up to 9 times until the residual falls.  A singular Jacobian
-    raises `NewtonDivergenceError`.  A line search that cannot lower the
-    residual ends the solve: as converged when the residual is already
-    below the roundoff floor of the log sums (`_roundoff_floor`), else with
-    a `NewtonDivergenceError`.  A converged solve logs L, p, its Newton
+    halved up to 9 times until the residual falls.  A singular Jacobian, or
+    a line search that cannot lower the residual, raises
+    `NewtonDivergenceError`.  A converged solve logs L, p, its Newton
     steps, their line-search halvings and the final residual at DEBUG.
     Returns (Z, Y, K, residual_norm) or raises a `BetheError`.
     """
@@ -288,12 +298,6 @@ def _newton(Z0, Y0, length, K=None):
                 steps, halvings = steps + 1, halvings + t
                 break
         else:
-            floor = _roundoff_floor(Z, Y, length)
-            if nrm <= floor:
-                logger.debug("L=%s, p=%d: accepted at the roundoff floor, "
-                             "residual %.3e > tol %.1e, floor %.3e",
-                             length, p, nrm, SOLVER_TOL, floor)
-                break
             raise NewtonDivergenceError(
                 f"line search stalled at residual {nrm:.3e}")
     logger.debug("L=%s, p=%d: Newton solve in %d steps, %d halvings, "
@@ -364,11 +368,12 @@ def solve_bethe(length, *, branch_integers, second_integers=None,
 
 def energy_from_roots(roots):
     """Generator eigenvalue E_gen = -sum_k 1/(Z_k - 1) of a root set, summed
-    in extended precision (module docstring)."""
-    Z = roots.big_z
-    if np.any(np.abs(Z - 1.0) < 1e-14):
+    in extended precision and returned as an `_EXT` scalar, so a gap keeps
+    the digits of extended roots (module docstring)."""
+    z_minus_one = roots.big_z - _EXT(1)
+    if (abs(z_minus_one.astype(complex)) < 1e-14).any():
         raise SingularRootError("Z = 1 pole in the energy sum")
-    return complex(-np.sum(1 / (Z.astype(_EXT) - 1)))
+    return -(1 / z_minus_one).sum()
 
 
 @dataclass(frozen=True)
@@ -440,6 +445,11 @@ GAP_BLOCK_ROOTS = 2048
 _CUBE_UNITY = np.exp(2j * np.pi / 3.0 * np.arange(3))[:, None]
 
 
+def _cubic_step(s, c):
+    """One Newton step on each cubic s^2 (s - 1) = c, in the precision of s."""
+    return s - (s * s * (s - 1.0) - c) / (s * (3.0 * s - 2.0))
+
+
 def _gap_s(c, middle):
     """s = Z/(Z-1) solving s^2 (s - 1) = c for every entry of c: the
     largest-modulus root, or where `middle` is true the middle-modulus one.
@@ -453,19 +463,38 @@ def _gap_s(c, middle):
     root_disc = np.sqrt(c * (4.0 + 27.0 * c) / 108.0)
     plus, minus = half_q + root_disc, half_q - root_disc
     cube = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
-    u = cube ** (1.0 / 3.0) * _CUBE_UNITY
+    # the principal cube root in polar form; complex ** costs three times as
+    # much, and the Newton step below takes either to roundoff
+    u = np.cbrt(np.abs(cube)) * np.exp(1j / 3.0 * np.angle(cube)) * _CUBE_UNITY
     s = u + 1.0 / (9.0 * u) + 1.0 / 3.0  # s[w, n]: the three roots of cubic n
     modulus = np.abs(s)
-    big = modulus.argmax(axis=0)
-    pick = np.where(middle, 3 - big - modulus.argmin(axis=0), big)
+    pick = modulus.argmax(axis=0)
+    mid = np.flatnonzero(middle)
+    pick[mid] = 3 - pick[mid] - modulus[:, mid].argmin(axis=0)
     s = np.take_along_axis(s, pick[None], axis=0)[0]
     # one Newton step on each cubic takes the closed-form error to roundoff
-    return s - (s * s * (s - 1.0) - c) / (s * (3.0 * s - 2.0))
+    return _cubic_step(s, c)
+
+
+def _ln_beta_step(u, s, p, starts):
+    """Newton step du = g / g' of each size, in the precision of u and s,
+    over the p roots from `starts`: g'(u) = p - sum_k 1/(3 s_k - 2), and
+    g(u) = Ln prod_k beta Z_k, the principal log of beta^p prod_k Z_k, as
+    sum_k ln|beta Z_k| plus i times the angle of the product of the unit
+    phases.  A sum p u + sum_k ln Z_k would carry Im g ~ 2 pi n, whose
+    rounding is ~n eps, and a plain product over- or underflows at large p.
+    """
+    t = np.repeat(np.exp(u), p) * s / (s - 1.0)  # beta Z_k
+    r = np.abs(t)
+    g = (np.add.reduceat(np.log(r), starts)
+         + 1j * np.angle(np.multiply.reduceat(t / r, starts)))
+    return g / (p - np.add.reduceat(1.0 / (3.0 * s - 2.0), starts))
 
 
 def _solve_gap_s(lengths):
-    """Unpolished s_k of the gap state at every size in `lengths` at once,
-    by Newton in u = ln beta, one u per size, from beta = GAP_BETA_SEED.
+    """The s_k of the gap state at every size in `lengths` at once, in
+    extended precision, by Newton in u = ln beta, one u per size, from
+    beta = GAP_BETA_SEED.
 
     Size L has p = L/3 roots: the largest-modulus root of each cubic
     j = 0..p-2, s^2 (s - 1) = beta exp(2 pi i m / p) with the half-integer
@@ -473,12 +502,16 @@ def _solve_gap_s(lengths):
     roots of the given sizes are solved in one `_gap_s` call per iteration,
     so the working set grows with their root count sum L/3 (`_gap_blocks`
     passes at most GAP_BLOCK_ROOTS, or one size).  They solve every
-    equation once beta^p prod_k Z_k = 1, i.e. g(u) = p u + sum_k ln Z_k = 0
-    with Im g wrapped to (-pi, pi]; g'(u) = p - sum_k 1/(3 s_k - 2).  A size
-    is frozen once |du| <= 1e-12; the iteration count and that |du| are
-    logged at DEBUG, with L, after one DEBUG record of the first and last L
-    and the root count.  Returns the s of each size and its last |du|,
-    which is above 1e-12 where 50 iterations did not converge.
+    equation once beta^p prod_k Z_k = 1, i.e. g(u) = 0 (`_ln_beta_step`).
+    The double iteration freezes a size, and its roots at the u before the
+    last step, once |du| <= 1e-7 (after four steps to L = 90,000; from
+    L = 27,000 a third |du| falls below 1e-6, which left the extended |du|
+    at 2.7e-10).  Then one step in `_EXT` finishes every size: two cubic
+    Newton steps at its u, one ln beta step and one last cubic step.  The
+    double iterations and the |du| of the extended step are logged at
+    DEBUG, with L, after one DEBUG record of the first and last L and the
+    root count.  Returns the s of each size (`_EXT`) and that |du|, which
+    is above 1e-12 where the iteration did not converge.
     """
     p = np.asarray(lengths) // 3
     starts = np.cumsum(p) - p
@@ -488,49 +521,106 @@ def _solve_gap_s(lengths):
                  lengths[-1], len(size))
     middle = j == p[size] - 1  # the last root of a size: cubic j = 0 again
     j[middle] = 0
-    phase = np.exp(2j * np.pi * (j - (p[size] - 1) / 2.0) / p[size])
+    # the phase exp(i pi t / p), t = 2m, as -exp(i pi (t -+ p) / p) where
+    # |t| > p/2 (an angle of at most pi/2 rounds less), from cos + i sin
+    # (a complex exp is slower) of each size's pi k / p, k = 0..p/2, taken
+    # once and read at k = |t| (cos is even and sin odd, bit for bit)
+    turns = 2 * j - p[size] + 1
+    flip = 2 * np.abs(turns) > p[size]
+    turns -= np.sign(turns) * p[size] * flip
+    half = p // 2 + 1
+    first = np.cumsum(half) - half
+    angle = _PI_EXT * (np.arange(half.sum()) - np.repeat(first, half))
+    angle /= np.repeat(p, half)
+    at = first[size] + np.abs(turns)
+    phase = np.empty(len(size), _EXT)
+    phase.real = np.cos(angle)[at]
+    phase.imag = np.sin(angle)[at] * np.sign(turns)
+    phase[flip] *= -1
+    phase_double = phase.astype(complex)
     u = np.full(len(p), np.log(complex(GAP_BETA_SEED)))
-    step = np.full(len(p), np.inf)
+    s = np.zeros(len(size), complex)
     iterations = np.zeros(len(p), dtype=int)  # 0 until the size is frozen
     for it in range(1, 51):
-        s = _gap_s(np.exp(u)[size] * phase, middle)
-        g = p * u + np.add.reduceat(np.log(s / (s - 1.0)), starts)
-        g = g.real + 1j * np.angle(np.exp(1j * g.imag))
-        du = g / (p - np.add.reduceat(1.0 / (3.0 * s - 2.0), starts))
         running = iterations == 0
+        s = np.where(running[size],
+                     _gap_s(np.exp(u)[size] * phase_double, middle), s)
+        du = _ln_beta_step(u, s, p, starts)
         u[running] -= du[running]
-        step[running] = np.abs(du[running])
-        iterations[running & (step <= 1e-12)] = it
+        iterations[running & (np.abs(du) <= 1e-7)] = it
         if iterations.all():
             break
-    s = np.split(_gap_s(np.exp(u)[size] * phase, middle), starts[1:])
+    u, s = u.astype(_EXT), s.astype(_EXT)
+    c = np.exp(u)[size] * phase
+    s = _cubic_step(_cubic_step(s, c), c)
+    du = _ln_beta_step(u, s, p, starts)
+    s = _cubic_step(s, np.exp(u - du)[size] * phase)
+    step = np.abs(du).astype(float)
     for length, n, last in zip(lengths, iterations, step):
         if n:
-            logger.debug("L=%s: ln beta converged in %d iterations, "
+            logger.debug("L=%s: ln beta in %d double iterations, extended "
                          "|du| %.3e", length, n, last)
-    return s, step
+    return [s[a:a + n] for a, n in zip(starts, p)], step
 
 
 def _gap_blocks(lengths):
-    """(L, s, last |du|) for each of the increasing `lengths`, from one
-    `_solve_gap_s` call per block of consecutive sizes holding at most
-    GAP_BLOCK_ROOTS roots (or a single size); a block is solved only when
-    the caller reaches it."""
+    """Gap-state root sets at the increasing `lengths`, in order.
+
+    Consecutive sizes holding at most GAP_BLOCK_ROOTS roots (or a single
+    size) form a block, solved only when the caller reaches it by one
+    `_solve_gap_s` call and one `_log_residuals` call over its sizes: Z =
+    s/(s - 1) stays `_EXT`, and I and the residual come from that call.  A
+    size raises `NewtonDivergenceError` when its extended ln beta step is
+    above 1e-12, or its residual above the roundoff floor of its log sums,
+    eps (L + p) max(max|ln s|, 2 max|ln|Z|| + pi).
+    """
     block = []
     for length in lengths:
         if block and (sum(block) + length) // 3 > GAP_BLOCK_ROOTS:
-            yield from zip(block, *_solve_gap_s(block))
+            yield from _gap_block(block)
             block = []
         block.append(length)
     if block:
-        yield from zip(block, *_solve_gap_s(block))
+        yield from _gap_block(block)
+
+
+def _gap_block(lengths):
+    """The root sets of one block of `_gap_blocks`, in order."""
+    s, step = _solve_gap_s(lengths)
+    failed = next((i for i, x in enumerate(step) if not x <= 1e-12), None)
+    solved = np.asarray(lengths[:failed])  # the sizes before a failure
+    if len(solved):
+        p = solved // 3
+        starts = np.cumsum(p) - p
+        s = np.concatenate(s[:len(solved)])
+        Z = s / (s - 1)
+        F, I = _log_residuals(Z, Z[:0], solved, p, None)
+        residual = np.maximum.reduceat(np.abs(F), starts)
+        z = Z.astype(complex)
+        terms = np.maximum(np.abs(np.log(s.astype(complex))),
+                           2 * np.abs(np.log(np.abs(z))) + np.pi)
+        floor = (np.finfo(float).eps * (solved + p)
+                 * np.maximum.reduceat(terms, starts))
+        # each size's roots in Arg Z order (double angles: the roots differ)
+        order = np.lexsort((np.angle(z), np.repeat(np.arange(len(p)), p)))
+        for length, a, b, res, low in zip(solved.tolist(), starts, starts + p,
+                                          residual.tolist(), floor.tolist()):
+            if not res <= low:
+                raise NewtonDivergenceError(
+                    f"L={length}: residual {res:.3e} above its roundoff "
+                    f"floor {low:.3e}")
+            own = order[a:b]
+            yield BetheRootSet(length, Z[own], np.zeros(0, complex), I[own],
+                               np.zeros(0, int), res)
+    if failed is not None:
+        raise NewtonDivergenceError(
+            f"L={lengths[failed]}: no convergence in ln beta "
+            f"(last step {step[failed]:.3e})")
 
 
 def _gap_chain(lengths):
     """Gap-state root sets at the increasing `lengths` from the scalar seed
-    GAP_BETA_SEED: cubic roots from `_gap_blocks`, then for each size in turn
-    branch integers from their principal logarithms and one fixed-integer
-    `_newton` polish of the nested system.
+    GAP_BETA_SEED, as `_gap_blocks` solves them.
 
     Each state must have Re gap > 0 and, from the second size on, a local
     gap exponent in (-1.9, -1.3) against the size before it.  A failing
@@ -539,15 +629,8 @@ def _gap_chain(lengths):
     """
     chain, prev = {}, None
     try:
-        for length, s, step in _gap_blocks(lengths):
-            if not step <= 1e-12:
-                raise NewtonDivergenceError(
-                    f"L={length}: no convergence in ln beta "
-                    f"(last step {step:.3e})")
-            Z, Y, K, res = _newton(s / (s - 1.0), np.zeros(0, complex),
-                                   length)  # r = 0, so K is I
-            roots = BetheRootSet.from_big_z(length, Z, Y, K, K[:0], res)
-            gap = energy_from_roots(roots).real
+        for roots in _gap_blocks(lengths):
+            length, gap = roots.length, energy_from_roots(roots).real
             if gap <= 0:
                 raise NewtonDivergenceError(
                     f"L={length}: state has nonpositive gap")

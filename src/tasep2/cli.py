@@ -60,7 +60,8 @@ def _write_rows(path, force, header, rows):
 
 
 def _re_im(values):
-    return [[x.real, x.imag] for x in values]
+    """[Re, Im] pairs of Python floats (extended roots round to double)."""
+    return [[float(x.real), float(x.imag)] for x in values]
 
 
 def _roots_payload(roots):
@@ -70,16 +71,16 @@ def _roots_payload(roots):
     lam = 0.5 * np.log(roots.big_z)
     energy = bethe.energy_from_roots(roots)
     e_raw = roots.length + 2.0 * roots.p - 2.0 * energy
-    abs_z, abs_lam = np.abs(roots.big_z), np.abs(lam)
+    abs_z, abs_lam = (np.abs(x).astype(float) for x in (roots.big_z, lam))
     return {
         "L": roots.length, "p": roots.p, "r": roots.r,
         "I": [int(i) for i in roots.branch_integers],
         "J": [int(j) for j in roots.second_integers],
         "lambda": _re_im(lam),
         "Lambda": _re_im(0.5 * np.log(roots.big_y)),
-        "energy_raw": [e_raw.real, e_raw.imag],
+        "energy_raw": _re_im([e_raw])[0],
         "residual_norm": roots.residual_norm,
-        "energy": [energy.real, energy.imag],
+        "energy": _re_im([energy])[0],
         "band": {"abs_Z_min": abs_z.min(initial=np.inf),
                  "abs_Z_max": abs_z.max(initial=0.0),
                  "abs_lambda_min": abs_lam.min(initial=np.inf),

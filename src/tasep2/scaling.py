@@ -31,14 +31,17 @@ OMEGA_SCAN = (0.5, 1.0, 1.5, 2.0)  # for `bst_scan` alone (its docstring)
 
 def local_exponent(series):
     """(L, extrapolant) for each adjacent pair of the (L, gap) pairs;
-    values sit near -z."""
+    values sit near -z.  Each is taken in extended precision, which keeps
+    the digits of extended gaps, and rounded to a float."""
     out = []
     series = list(series)
     by_l = dict(series)
     for l, g in series:
         if l + 3 not in by_l:
             continue
-        out.append((l, np.log(g / by_l[l + 3]) / np.log(l / (l + 3.0))))
+        ratio = np.longdouble(g) / np.longdouble(by_l[l + 3])
+        step = np.longdouble(l) / (l + 3)
+        out.append((l, float(np.log(ratio) / np.log(step))))
     if not out:
         raise ValueError("series has no adjacent (L, L+3) pairs")
     return out

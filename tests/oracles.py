@@ -69,7 +69,7 @@ def multiset_distance(a, b):
         return np.inf
     if len(a) == 0:
         return 0.0
-    cost = np.abs(a[:, None] - b[None, :])
+    cost = np.abs(a[:, None] - b[None, :]).astype(float)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
 
@@ -243,6 +243,18 @@ def _cubic_root_mp(s, c, tol):
         if abs(ds) <= tol * abs(s):
             return s
     raise ArithmeticError(f"cubic Newton did not converge at c = {c}")
+
+
+def exact_mp(x):
+    """The exact mpmath value of a float or long double, real or complex."""
+    def part(v):
+        num, den = v.as_integer_ratio()
+        return mp.mpf(num) / den  # den is a power of two: exact at 128 bits
+
+    with mp.workprec(128):
+        if np.iscomplexobj(x):
+            return mp.mpc(part(x.real), part(x.imag))
+        return part(x)
 
 
 def gap_energy_mp(length, dps=30):

@@ -36,7 +36,6 @@ from tasep2.bethe import (
     _log_residual,
     _newton,
     _newton_step,
-    _roundoff_floor,
     solve_gap_chain,
 )
 
@@ -179,13 +178,14 @@ def test_energy_matches_paper_raw_route(gap_chain_360):
 
 def test_energy_is_the_exact_sum_of_its_roots():
     """-sum 1/(Z-1) summed in extended precision is the exact rational sum
-    over the same double Z to 1e-14, relative, where p - sum Z/(Z-1) lost
+    over the same Z to 1e-14, relative, where p - sum Z/(Z-1) in double lost
     7.8e-13 (L = 99) to 6.6e-11 (L = 600) of Re E to cancellation."""
     for length in (99, 300, 450, 600):
         roots = solve_gap_state(length)
         re, im = Fraction(0), Fraction(0)
         for z in roots.big_z:
-            x, y = Fraction(z.real) - 1, Fraction(z.imag)
+            x = Fraction(*z.real.as_integer_ratio()) - 1
+            y = Fraction(*z.imag.as_integer_ratio())
             re, im = re - x / (x * x + y * y), im + y / (x * x + y * y)
         exact = complex(float(re), float(im))
         e = energy_from_roots(roots)
@@ -194,20 +194,30 @@ def test_energy_is_the_exact_sum_of_its_roots():
 
 
 def test_root_set_keeps_solver_roots(monkeypatch):
-    """The stored Z are the Newton solver's own, bit for bit, in Arg order."""
-    real, returned = bethe._newton, []
+    """The stored Z are the solver's own, bit for bit, in Arg order: those
+    of the Newton solve, and at the gap state Z = s/(s - 1) of the extended
+    stage's roots, kept in extended precision."""
+    real_newton, real_gap, returned = bethe._newton, bethe._solve_gap_s, []
 
     def recorded(*args, **kwargs):
-        out = real(*args, **kwargs)
+        out = real_newton(*args, **kwargs)
         returned.append(out[0])
         return out
 
+    def recorded_gap(lengths):
+        out = real_gap(lengths)
+        s = out[0][0]
+        returned.append(s / (s - 1))
+        return out
+
     monkeypatch.setattr(bethe, "_newton", recorded)
+    monkeypatch.setattr(bethe, "_solve_gap_s", recorded_gap)
     for solve in (lambda: solve_bethe(6, branch_integers=(-1, 1)),
                   lambda: solve_gap_state(99)):
         roots = solve()
         Z = returned[-1]
         np.testing.assert_array_equal(roots.big_z, Z[np.argsort(np.angle(Z))])
+    assert roots.big_z.dtype == np.clongdouble
 
 
 def test_calibration_consistent_across_sizes():
@@ -369,7 +379,8 @@ def test_residual_with_angles_exactly_pi_apart():
     Y = np.array([2.5j, -2.5j, 3.0, -3.0])
     for X in (Z, Y):
         np.testing.assert_allclose(
-            bethe._log_ratio_row_sums(X).imag.astype(float), np.pi,
+            bethe._log_ratio_row_sums(X, None).imag.astype(float),
+            np.pi,
             rtol=0, atol=1e-15)
     for y in (Y[:0], Y):
         F = _log_residual(Z, y, 7)[0]
@@ -442,17 +453,11 @@ def test_r0_solves_build_no_dense_jacobian(monkeypatch):
 
 
 def test_gap_chain_360(gap_chain_360):
-    """Up to L=351 every root set meets the solver tolerance; beyond it a
-    root set may stop at the roundoff floor of its log sums instead."""
+    """Every root set to L=360 meets the solver tolerance."""
     lengths = sorted(gap_chain_360)
     assert lengths == list(range(6, 361, 3))
     for length in lengths:
-        roots = gap_chain_360[length]
-        if length <= 351:
-            assert roots.residual_norm <= SOLVER_TOL, length
-        else:
-            floor = _roundoff_floor(roots.big_z, roots.big_y, length)
-            assert roots.residual_norm <= max(SOLVER_TOL, floor), length
+        assert gap_chain_360[length].residual_norm <= SOLVER_TOL, length
     gaps = [energy_from_roots(gap_chain_360[l]).real for l in lengths]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
@@ -484,8 +489,51 @@ def test_gap_chain_matches_30_digit_reference(gap_chain_603):
         assert abs(e6 - want) <= 1e-20
     for length in (6, 33, 99, 195, 201, 300, 603):
         ref = oracles.gap_energy_mp(length).real
-        gap = energy_from_roots(gap_chain_603[length]).real
+        gap = oracles.exact_mp(energy_from_roots(gap_chain_603[length]).real)
         assert abs(gap - ref) <= MP_GAP_REL_TOL * ref, length
+
+
+# Largest relative error of the chain's extended-precision gap Re E against
+# the 30-digit reference over every L in 6..603: 4.0e-15 at L = 579 (median
+# 2.1e-16); 5.9e-17 to L = 99.
+MP_GAP_EXT_REL_TOL = 1e-14
+
+
+def test_gap_chain_extended_gap_matches_30_digit_reference(gap_chain_603):
+    """The chain's gap Re E, as `energy_from_roots` returns it in extended
+    precision, lies within MP_GAP_EXT_REL_TOL of the 30-digit reference,
+    relative, at a spread of sizes to 603 and at the survey's worst, 579."""
+    with mpmath.workdps(30):
+        for length in (6, 33, 99, 195, 300, 579, 603):
+            ref = oracles.gap_energy_mp(length).real
+            gap = oracles.exact_mp(
+                energy_from_roots(gap_chain_603[length]).real)
+            assert abs(gap - ref) <= MP_GAP_EXT_REL_TOL * ref, length
+
+
+def test_gap_chain_residual_below_tolerance_and_floor_to_1203():
+    """Every root set to L = 1,203 has a residual below SOLVER_TOL and below
+    the O(p) roundoff floor of its log sums,
+    eps (L + p) max(max|ln(Z/(Z-1))|, 2 max|ln|Z|| + pi), taken here from
+    the stored roots."""
+    eps = np.finfo(float).eps
+    for length, roots in solve_gap_chain(1203).items():
+        Z = roots.big_z.astype(complex)
+        floor = eps * (length + roots.p) * max(
+            np.abs(np.log(Z / (Z - 1.0))).max(),
+            2 * np.abs(np.log(np.abs(Z))).max() + np.pi)
+        assert roots.residual_norm <= min(SOLVER_TOL, floor), length
+
+
+def test_block_residual_matches_per_size_residual(gap_chain_603):
+    """The residual and I that the chain takes from one residual call per
+    block are those of each root set alone: `bethe_residual` within 1e-15
+    of the stored residual, and the re-synced integers identical."""
+    for length, roots in gap_chain_603.items():
+        alone = np.abs(bethe_residual(roots)).max()
+        assert abs(alone - roots.residual_norm) <= 1e-15, length
+        _, I = _log_residual(roots.big_z, roots.big_y, length)
+        np.testing.assert_array_equal(I, roots.branch_integers)
 
 
 def test_gap_cubic_roots_match_numpy_roots():
@@ -557,88 +605,89 @@ def test_gap_chain_solves_sizes_in_root_bounded_blocks(monkeypatch):
             assert (sum(block) + after[0]) // 3 > bethe.GAP_BLOCK_ROOTS
 
 
+def _spoil_gap_roots(monkeypatch, spoiled, calls=None):
+    """Scale the extended stage's roots of size `spoiled` by 1 + 1e-9, so
+    that its residual is far above its roundoff floor; with `calls`, record
+    the sizes of each `_solve_gap_s` call."""
+    real = bethe._solve_gap_s
+
+    def spoil(lengths):
+        if calls is not None:
+            calls.append(list(lengths))
+        s, step = real(lengths)
+        return [x * (1 + 1e-9) if length == spoiled else x
+                for length, x in zip(lengths, s)], step
+
+    monkeypatch.setattr(bethe, "_solve_gap_s", spoil)
+
+
 def test_gap_chain_failure_solves_no_later_block(monkeypatch):
-    """A block is solved only when the polish reaches it: a failure at L=27
+    """A block is solved only when the chain reaches it: a failure at L=27
     leaves the blocks after its own unsolved."""
     monkeypatch.setattr(bethe, "GAP_BLOCK_ROOTS", 20)
     calls = []
-    real_solve, real_newton = bethe._solve_gap_s, bethe._newton
-
-    def spy(lengths):
-        calls.append(list(lengths))
-        return real_solve(lengths)
-
-    def fail_at_27(Z0, Y0, length, *args):
-        if length == 27:
-            raise NewtonDivergenceError("forced failure")
-        return real_newton(Z0, Y0, length, *args)
-
-    monkeypatch.setattr(bethe, "_solve_gap_s", spy)
-    monkeypatch.setattr(bethe, "_newton", fail_at_27)
-    with pytest.raises(BetheError, match="forced failure") as info:
+    _spoil_gap_roots(monkeypatch, 27, calls)
+    with pytest.raises(NewtonDivergenceError,
+                       match="L=27: residual .* above its roundoff floor"
+                       ) as info:
         solve_gap_chain(60)
     assert calls == [[6, 9, 12, 15, 18], [21, 24], [27, 30]]
     assert sorted(info.value.chain) == list(range(6, 25, 3))
 
 
 def test_block_roots_do_not_depend_on_chain_length():
-    """The cubic roots of a size are bit for bit those of its single-size
-    solve in a chain to L = 543.  Its 16,470 roots in one batch would make
-    complex arrays past the 256 KiB at which numpy reuses temporaries in
+    """The root set of a size (Z, I and residual) is bit for bit that of its
+    single-size solve in a chain to L = 543.  Its 16,470 roots in one batch
+    would make arrays past the 256 KiB at which numpy reuses temporaries in
     place, and an in-place complex product can round differently."""
     lengths = range(6, 544, 3)
-    blocked = {length: s for length, s, _ in bethe._gap_blocks(lengths)}
+    blocked = {roots.length: roots for roots in bethe._gap_blocks(lengths)}
     for length in (27, 42, 300, 543):
-        alone = bethe._solve_gap_s([length])[0][0]
-        np.testing.assert_array_equal(blocked[length], alone)
+        (alone,) = bethe._gap_blocks([length])
+        np.testing.assert_array_equal(blocked[length].big_z, alone.big_z)
+        np.testing.assert_array_equal(blocked[length].branch_integers,
+                                      alone.branch_integers)
+        assert blocked[length].residual_norm == alone.residual_norm
 
 
 def test_newton_logs_each_solve(caplog):
     """One DEBUG record per converged solve: L, p, Newton steps, line-search
-    halvings and the final residual, which is the stored one."""
+    halvings and the final residual, which is the stored one.  The gap
+    chain makes no Newton solve."""
     with caplog.at_level(logging.DEBUG, logger="tasep2.bethe"):
-        chain = solve_gap_chain(15)
+        solve_gap_chain(15)
         roots = solve_bethe(6, branch_integers=[-1, 0])
     records = [r for r in caplog.records if "Newton solve" in r.getMessage()]
-    assert [r.args[:2] for r in records] == [(6, 2), (9, 3), (12, 4),
-                                             (15, 5), (6, 2)]
-    for rec, res in zip(records, [chain[l].residual_norm for l in chain]
-                        + [roots.residual_norm]):
-        length, p, steps, halvings, residual = rec.args
-        assert rec.levelno == logging.DEBUG
-        assert steps >= 0 and halvings >= 0 and residual == res <= SOLVER_TOL
-    assert records[-1].args[2] >= 1  # the multistart needs Newton steps
-    for rec in records:
-        assert "roundoff floor" not in rec.getMessage()
-        assert "ln beta" not in rec.getMessage()
+    assert [r.args[:2] for r in records] == [(6, 2)]
+    length, p, steps, halvings, residual = records[0].args
+    assert records[0].levelno == logging.DEBUG
+    assert steps >= 1  # the multistart needs Newton steps
+    assert halvings >= 0 and residual == roots.residual_norm <= SOLVER_TOL
+    assert "ln beta" not in records[0].getMessage()
 
 
-def test_newton_accepts_at_roundoff_floor_and_logs(gap6, caplog,
+def test_newton_raises_when_the_line_search_stalls(gap6, caplog,
                                                    monkeypatch):
-    """An unreachable tolerance ends at the roundoff floor, not in an error,
-    and says so at DEBUG."""
+    """An unreachable tolerance ends in `NewtonDivergenceError` once the
+    line search cannot lower the residual, and logs no converged solve."""
     Z, Y = gap6.big_z, gap6.big_y
     monkeypatch.setattr(bethe, "SOLVER_TOL", 0.0)
     with caplog.at_level(logging.DEBUG, logger="tasep2.bethe"):
-        Z1, _, K1, res = _newton(Z, Y, 6, np.concatenate(
-            (gap6.branch_integers, gap6.second_integers)))
-    assert 0.0 < res <= _roundoff_floor(Z1, Y, 6)
-    np.testing.assert_array_equal(K1, gap6.branch_integers)
-    assert "roundoff floor" in caplog.text
+        with pytest.raises(NewtonDivergenceError,
+                           match="line search stalled at residual"):
+            _newton(Z, Y, 6, np.concatenate((gap6.branch_integers,
+                                             gap6.second_integers)))
+    assert "Newton solve" not in caplog.text
 
 
 def test_chain_step_failure_raises_with_prefix(gap_chain_36, monkeypatch):
-    """A failure in the per-size polish is not swallowed: it leaves
-    `solve_gap_chain` as a `BetheError` carrying the converged prefix."""
-    real = bethe._newton
-
-    def fail_at_15(Z0, Y0, length, *args):
-        if length == 15:
-            raise NewtonDivergenceError("forced failure")
-        return real(Z0, Y0, length, *args)
-
-    monkeypatch.setattr(bethe, "_newton", fail_at_15)
-    with pytest.raises(BetheError, match="forced failure") as info:
+    """A size whose extended-stage roots fail the residual check is not
+    swallowed: it leaves `solve_gap_chain` as a `BetheError` carrying the
+    converged prefix, which is the sizes before it in the same block."""
+    _spoil_gap_roots(monkeypatch, 15)
+    with pytest.raises(BetheError,
+                       match="L=15: residual .* above its roundoff floor"
+                       ) as info:
         solve_gap_chain(33)
     assert sorted(info.value.chain) == [6, 9, 12]
     for length, roots in info.value.chain.items():
@@ -697,8 +746,9 @@ def test_continuation_prediction_accuracy(gap_chain_36, monkeypatch):
 
 
 def test_decoupled_energy_matches_nested(gap_chain_360):
-    """p - sum s_k at the unpolished cubic roots, solved from beta = 4/27,
-    is the polished nested energy for every L <= 330."""
+    """p - sum s_k at the extended stage's cubic roots, solved from
+    beta = 4/27, is the nested energy -sum 1/(Z_k - 1) of the root set for
+    every L <= 330."""
     lengths = range(6, 331, 3)
     s_all, _ = bethe._solve_gap_s(lengths)
     for length, s in zip(lengths, s_all):

@@ -150,6 +150,30 @@ def test_bethe_seed_file_roundtrip(tmp_path):
                                np.asarray(b["lambda"]), atol=1e-13)
 
 
+def _reject_constant(name):
+    raise ValueError(f"not valid JSON: {name}")
+
+
+def test_bethe_l300_writes_plain_json(tmp_path):
+    """The gap state's extended roots reach roots_L300.json as plain
+    floats: the file is valid JSON (no NaN or Infinity) that the schema
+    accepts, and its --from-file round trip solves the same state."""
+    rc = run(["bethe", "--length", "300", "--output-dir", str(tmp_path)])
+    assert rc == 0
+    text = (tmp_path / "roots_L300.json").read_text()
+    data = json.loads(text, parse_constant=_reject_constant)
+    jsonschema.validate(data, _schema("roots.json"))
+    assert data["p"] == 100 and len(data["lambda"]) == 100
+    rc = run(["bethe", "--length", "300", "--from-file",
+              str(tmp_path / "roots_L300.json"),
+              "--output-dir", str(tmp_path / "again")])
+    assert rc == 0
+    back = json.loads((tmp_path / "again" / "roots_L300.json").read_text(),
+                      parse_constant=_reject_constant)
+    assert back["I"] == data["I"]
+    assert abs(complex(*back["energy"]) - complex(*data["energy"])) <= 1e-12
+
+
 def test_bethe_seed_file_with_other_root_count(tmp_path, capsys):
     run(["bethe", "--length", "6", "--output-dir", str(tmp_path)])
     rc = run(["bethe", "--length", "6", "--integers", "-1", "0", "1",
@@ -309,26 +333,28 @@ def test_scale_coarse_range(tmp_path):
     assert abs(report["z_estimate"] - 1.5) <= 0.2
 
 
-def test_scale_failure_writes_converged_prefix(tmp_path, monkeypatch):
+def test_scale_failure_writes_converged_prefix(tmp_path, monkeypatch,
+                                               capsys):
     """A failed size of the chain keeps the converged prefix of the chain
     without solving the chain again."""
-    newton, solve_gap_chain = bethe._newton, bethe.solve_gap_chain
+    solve_gap_s, solve_gap_chain = bethe._solve_gap_s, bethe.solve_gap_chain
     chain_calls = []
 
-    def failing_step(Z0, Y0, length, *args):
-        if length == 15:
-            raise bethe.NewtonDivergenceError("injected failure at L=15")
-        return newton(Z0, Y0, length, *args)
+    def failing_step(lengths):
+        s, step = solve_gap_s(lengths)  # the roots of L=15 miss by 1e-9
+        return [x * (1 + 1e-9) if length == 15 else x
+                for length, x in zip(lengths, s)], step
 
     def counted_chain(*args, **kwargs):
         chain_calls.append(args)
         return solve_gap_chain(*args, **kwargs)
 
-    monkeypatch.setattr(bethe, "_newton", failing_step)
+    monkeypatch.setattr(bethe, "_solve_gap_s", failing_step)
     monkeypatch.setattr(bethe, "solve_gap_chain", counted_chain)
     rc = run(["scale", "--from", "6", "--to", "33",
               "--output-dir", str(tmp_path)])
     assert rc == cli.EXIT_NUMERICAL
+    assert "L=15: residual" in capsys.readouterr().err
     lines = (tmp_path / "gap_series.csv").read_text().strip().splitlines()
     assert lines[0] == "L,gap_re"
     assert [int(line.split(",")[0]) for line in lines[1:]] == [6, 9, 12]

@@ -142,6 +142,40 @@ def test_run_scaling_study_matches_paper(gap_chain_36):
     assert seq[-1] < -1.5
 
 
+def test_run_scaling_study_reaches_three_halves_to_1e_11():
+    """Over 6..99 the omega = 1 tableau of the local exponents, taken from
+    the extended gaps, gives |z - 3/2| < 1e-11 (2.2e-14; 2.5e-13 from the
+    30-digit gaps), next to the 1e-5 bound of the paper's range."""
+    report = run_scaling_study(6, 99)
+    assert not report["tableau"].truncated
+    assert abs(report["z_estimate"] - 1.5) < 1e-11
+
+
+# Window survey of the omega = 1 tableaux of the gap chain, l_min 6..30 and
+# l_max 66..330: Re E L^(3/2) lies 9.0e-10..9.8e-10 above
+# 2 sqrt(2/9) 6.509189337, a constant quoted to 10 digits (one unit of its
+# last digit is 9.4e-10 here), and |Im E| L lies within 1.5e-10 of 2 pi/3;
+# from l_min = 6 within 1.3e-12 up to l_max = 198 (1.2e-12 at 6..99).
+AMPLITUDE_RE_TOL = 1.5e-9
+AMPLITUDE_IM_TOL = 1e-11
+
+
+def test_gap_amplitudes_reach_gwa_spohn_constants():
+    """Over 6..99 the omega = 1 tableau of Re E L^(3/2) reaches
+    2 sqrt(rho (1 - rho)) 6.509189337 at rho = 1/3, and that of |Im E| L
+    reaches 2 pi (1 - 2 rho) = 2 pi/3 (Gwa & Spohn, PRA 46, 844 (1992);
+    Golinelli & Mallick, J. Phys. A 37, 3321 (2004))."""
+    chain = bethe.solve_gap_chain(99)
+    energies = [(l, energy_from_roots(r)) for l, r in sorted(chain.items())]
+    re = bst_extrapolate([(l, float(e.real) * l ** 1.5)
+                          for l, e in energies], 1.0)
+    im = bst_extrapolate([(l, abs(float(e.imag)) * l) for l, e in energies],
+                         1.0)
+    assert not (re.truncated or im.truncated)
+    assert abs(re.limit - 2 * np.sqrt(2 / 9) * 6.509189337) <= AMPLITUDE_RE_TOL
+    assert abs(im.limit - 2 * np.pi / 3) <= AMPLITUDE_IM_TOL
+
+
 def test_run_scaling_study_extended_sweep():
     report = run_scaling_study(6, 36)
     assert abs(report["z_estimate"] - 1.5) <= 1e-4
